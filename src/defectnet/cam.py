@@ -115,12 +115,6 @@ def _build_colormap() -> np.ndarray:
 COLORMAP = _build_colormap()  # 256 RGB rows, blue -> green -> red
 
 
-def colormap(value: float) -> tuple[float, float, float]:
-    """Look up one heatmap value in the fixed 256-entry table."""
-    idx = int(np.clip(value, 0.0, 1.0) * 255 + 0.5)
-    return tuple(float(x) for x in COLORMAP[idx])
-
-
 def overlay(h: Heatmap, image: Tensor, alpha: float) -> Tensor:
     """Blend the colormapped heatmap over a [3 x H x W] image in [0,1]."""
     if not 0.0 <= alpha <= 1.0:

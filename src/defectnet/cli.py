@@ -157,14 +157,18 @@ def _read_meta_input_size(model_path: Path) -> int | None:
     return None
 
 
+def _read_archive(p: Path) -> dict[str, Tensor]:
+    if not p.is_file():
+        raise ArchiveError(f"model archive not found: {p}")
+    with open(p, "rb") as fh:
+        return weights_io.read_weights(fh)
+
+
 def load_model(path) -> model_mod.Model:
     """Rebuild a model from an archive; the architecture is read off the
     parameter names/shapes, with input size from a sibling run.meta if any."""
     p = Path(path)
-    if not p.is_file():
-        raise ArchiveError(f"model archive not found: {p}")
-    with open(p, "rb") as fh:
-        params = weights_io.read_weights(fh)
+    params = _read_archive(p)
     try:
         spec = model_mod.spec_from_params(params, input_size=_read_meta_input_size(p))
     except ValueError as exc:
@@ -215,8 +219,8 @@ def cmd_train(args) -> int:
     spec = arch_from_config(cfg)
     net = build(spec, seed=cfg["seed"])
     if cfg["init_weights"]:
-        with open(cfg["init_weights"], "rb") as fh:
-            net = weights_io.load_into(net, weights_io.read_weights(fh), cfg["init_policy"])
+        net = weights_io.load_into(net, _read_archive(Path(cfg["init_weights"])),
+                                   cfg["init_policy"])
     try:
         net = set_trainable(net, cfg["freeze_blocks"])
     except ValueError as exc:
@@ -253,19 +257,26 @@ def cmd_train(args) -> int:
 
 
 def _read_counts_csv(path) -> metrics.ConfusionMatrix:
-    lines = [l for l in Path(path).read_text(encoding="utf-8").splitlines() if l.strip()]
-    header = lines[0].split(",")
-    if tuple(header[1:]) != LABEL_NAMES:
+    try:
+        lines = [l for l in Path(path).read_text(encoding="utf-8").splitlines() if l.strip()]
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DatasetError(f"cannot read counts file {path}: {exc}") from None
+    header = lines[0] if lines else ""
+    if tuple(header.split(",")[1:]) != LABEL_NAMES:
         raise DatasetError(
-            f"counts file header must be label,{','.join(LABEL_NAMES)}, got {lines[0]!r}"
+            f"counts file header must be label,{','.join(LABEL_NAMES)}, got {header!r}"
         )
-    rows = []
-    for name, line in zip(LABEL_NAMES, lines[1:]):
-        cells = line.split(",")
-        if cells[0] != name:
-            raise DatasetError(f"counts row for {name!r} out of order: {line!r}")
-        rows.append([int(v) for v in cells[1:]])
-    return metrics.ConfusionMatrix.from_rows(rows)
+    rows = [line.split(",") for line in lines[1:]]
+    if [r[0] for r in rows] != list(LABEL_NAMES):
+        raise DatasetError(f"counts rows must be {','.join(LABEL_NAMES)} in this order, "
+                           f"got {','.join(r[0] for r in rows)!r}")
+    try:
+        cm = metrics.ConfusionMatrix.from_rows([r[1:] for r in rows])
+    except ValueError as exc:
+        raise DatasetError(f"bad counts in {path}: {exc}") from None
+    if cm.total() == 0:
+        raise DatasetError(f"counts file {path} holds no samples")
+    return cm
 
 
 def _write_counts_csv(path, cm: metrics.ConfusionMatrix) -> None:

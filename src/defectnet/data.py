@@ -200,25 +200,6 @@ def split(ds: LabeledDataset, val_fraction: float, seed: int) -> tuple[LabeledDa
     )
 
 
-def cap_per_class(ds: LabeledDataset, cap: int, seed: int) -> LabeledDataset:
-    """Balance a dataset by keeping at most `cap` seeded-random items per class.
-
-    Kept items stay in their original relative order.
-    """
-    if cap < 1:
-        raise ValueError(f"cap must be >= 1, got {cap}")
-    rng = np.random.default_rng(seed)
-    keep: set[int] = set()
-    for cls in range(len(ds.label_names)):
-        idxs = [i for i, (_, lbl) in enumerate(ds.items) if lbl == cls]
-        if len(idxs) > cap:
-            chosen = rng.choice(len(idxs), size=cap, replace=False)
-            idxs = [idxs[int(c)] for c in chosen]
-        keep.update(idxs)
-    return LabeledDataset(items=[it for i, it in enumerate(ds.items) if i in keep],
-                          label_names=ds.label_names)
-
-
 # --- augmentation -----------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -247,11 +228,6 @@ class AugmentParams:
     def disabled(self) -> bool:
         return (self.rotation_max_deg == 0.0 and self.shift_max_frac == 0.0
                 and not self.allow_hflip and not self.allow_vflip)
-
-
-def per_item_rng(seed: int, index: int) -> np.random.Generator:
-    """Independent per-item stream; results don't depend on scheduling order."""
-    return np.random.default_rng((seed, index))
 
 
 def hflip(img: RasterImage) -> RasterImage:

@@ -32,14 +32,6 @@ class ConfusionMatrix:
     def from_rows(cls, rows, label_names=LABEL_NAMES) -> "ConfusionMatrix":
         return cls(tuple(tuple(int(v) for v in row) for row in rows), tuple(label_names))
 
-    @classmethod
-    def from_pairs(cls, true_labels, pred_labels, label_names=LABEL_NAMES) -> "ConfusionMatrix":
-        n = len(label_names)
-        counts = [[0] * n for _ in range(n)]
-        for t, p in zip(true_labels, pred_labels, strict=True):
-            counts[t][p] += 1
-        return cls.from_rows(counts, label_names)
-
     def total(self) -> int:
         return sum(sum(row) for row in self.counts)
 
@@ -138,16 +130,4 @@ def render_text(rep: ClassReport) -> str:
     lines.append(f"{'accuracy':>{name_w}}  {'':>9}  {'':>6}  {_fmt(rep.accuracy):>8}  {rep.total:>7}")
     if flagged:
         lines.append("* degenerate rate (zero denominator), reported as 0.00")
-    return "\n".join(lines) + "\n"
-
-
-def render_csv(rep: ClassReport) -> str:
-    """class,precision,recall,f1,support rows plus an accuracy footer row."""
-    lines = ["class,precision,recall,f1,support"]
-    for r in rep.rows:
-        lines.append(
-            f"{r.name},{round_half_up(r.precision):.2f},{round_half_up(r.recall):.2f},"
-            f"{round_half_up(r.f1):.2f},{r.support}"
-        )
-    lines.append(f"accuracy,,,{round_half_up(rep.accuracy):.2f},{rep.total}")
     return "\n".join(lines) + "\n"

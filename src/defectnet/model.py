@@ -1,10 +1,15 @@
-"""VGG-style block architectures with transfer-learning surgery.
+"""VGG-style block architectures as one layer list, with transfer-learning surgery.
 
 A model is an ordered map of named parameters plus per-parameter
 trainability flags. Names encode (block, layer, role), e.g.
 "block3.conv2.w" or "head.out.b", so freezing by block depth is
 well-defined. Two presets ship: "paper-vgg16" (filter widths
 32/64/128/256/256) and "canonical-vgg16" (64/128/256/512/512).
+
+`layers(spec)` lists the layers of an ArchSpec in forward order: conv +
+ReLU pairs and a max-pool per block, then the head. build, replace_head,
+forward and loss_and_gradients all walk that list, so it is the one
+place that knows the order of layers and parameters.
 
 The default head is GAP -> single dense -> softmax, which serves both
 classification and class-activation mapping; a conventional FC head is
@@ -105,51 +110,137 @@ class Model:
     params: dict[str, Tensor]
     trainable: dict[str, bool]
 
-    @property
-    def block_count(self) -> int:
-        return len(self.spec.blocks)
+
+class Layer:
+    """One step of the forward walk.
+
+    forward(params, x) -> (y, ctx) keeps in ctx what backward(ctx, dy) ->
+    (dx, grads by parameter name) needs; init(rng) draws its parameters.
+    """
+
+    def init(self, rng: np.random.Generator) -> dict[str, Tensor]:
+        return {}
 
 
-def _uniform(rng: np.random.Generator, shape, fan_in: int) -> Tensor:
-    bound = math.sqrt(6.0 / fan_in)
-    return Tensor._wrap(rng.uniform(-bound, bound, size=shape).astype(np.float32))
+def _draw(name: str, rng: np.random.Generator, shape, out: int) -> dict[str, Tensor]:
+    """Uniform weights (bound sqrt(6/fan_in), fan_in = weights per output) and zero biases."""
+    bound = math.sqrt(6.0 / (math.prod(shape) // out))
+    w = rng.uniform(-bound, bound, size=shape).astype(np.float32)
+    return {f"{name}.w": Tensor._wrap(w), f"{name}.b": Tensor.zeros((out,))}
 
 
-def _head_dims(spec: ArchSpec) -> list[tuple[str, int, int]]:
-    """(name-stem, in-dim, out-dim) for each dense layer of the head, in order."""
+def _param_grads(name: str, lg: nn.LayerGradients):
+    return lg.d_input, {f"{name}.w": lg.d_params["weights"], f"{name}.b": lg.d_params["bias"]}
+
+
+@dataclass(frozen=True)
+class Conv(Layer):
+    """3x3 same-padded, stride-1 convolution."""
+
+    name: str
+    in_ch: int
+    out_ch: int
+
+    def init(self, rng):
+        return _draw(self.name, rng, (self.out_ch, self.in_ch, KERNEL, KERNEL), self.out_ch)
+
+    def forward(self, params, x):
+        cp = nn.ConvParams(params[f"{self.name}.w"], params[f"{self.name}.b"],
+                           stride=1, padding=KERNEL // 2)
+        return nn.conv2d_forward(x, cp), (x, cp)
+
+    def backward(self, ctx, dy):
+        return _param_grads(self.name, nn.conv2d_backward(*ctx, dy))
+
+
+@dataclass(frozen=True)
+class Dense(Layer):
+    """Affine map [N x fan_in] -> [N x out]."""
+
+    name: str
+    fan_in: int
+    out: int
+
+    def init(self, rng):
+        return _draw(self.name, rng, (self.fan_in, self.out), self.out)
+
+    def forward(self, params, x):
+        w = params[f"{self.name}.w"]
+        return nn.dense_forward(x, w, params[f"{self.name}.b"]), (x, w)
+
+    def backward(self, ctx, dy):
+        return _param_grads(self.name, nn.dense_backward(*ctx, dy))
+
+
+class Relu(Layer):
+    def forward(self, params, x):
+        return nn.relu(x), x
+
+    def backward(self, ctx, dy):
+        return nn.relu_backward(ctx, dy), {}
+
+
+class MaxPool(Layer):
+    def forward(self, params, x):
+        return nn.maxpool2d_forward(x)
+
+    def backward(self, ctx, dy):
+        return nn.maxpool2d_backward(ctx, dy), {}
+
+
+class GlobalAvgPool(Layer):
+    def forward(self, params, x):
+        return nn.global_avg_pool(x), x.shape
+
+    def backward(self, ctx, dy):
+        return nn.global_avg_pool_backward(ctx, dy), {}
+
+
+class Flatten(Layer):
+    def forward(self, params, x):
+        return Tensor._wrap(np.ascontiguousarray(x.array.reshape(x.shape[0], -1))), x.shape
+
+    def backward(self, ctx, dy):
+        return Tensor._wrap(np.ascontiguousarray(dy.array.reshape(ctx))), {}
+
+
+def layers(spec: ArchSpec) -> tuple[list[Layer], list[Layer]]:
+    """(feature layers, head layers) in forward order.
+
+    The feature layers end in the final conv maps that CAM projects onto;
+    the head turns those maps into logits.
+    """
+    features: list[Layer] = []
+    in_ch = spec.in_channels
+    for b, (count, filters) in enumerate(spec.blocks, 1):
+        for i in range(1, count + 1):
+            features += [Conv(f"block{b}.conv{i}", in_ch, filters), Relu()]
+            in_ch = filters
+        features.append(MaxPool())
     if isinstance(spec.head, GapHead):
-        return [("out", spec.final_filters, spec.num_classes)]
-    dims = []
-    prev = spec.final_filters * spec.map_size * spec.map_size
-    for i, width in enumerate(spec.head.widths, 1):
-        dims.append((f"fc{i}", prev, width))
-        prev = width
-    dims.append(("out", prev, spec.num_classes))
-    return dims
-
-
-def _init_head(spec: ArchSpec, rng: np.random.Generator, params: dict[str, Tensor]):
-    for stem, fan_in, out in _head_dims(spec):
-        params[f"head.{stem}.w"] = _uniform(rng, (fan_in, out), fan_in)
-        params[f"head.{stem}.b"] = Tensor.zeros((out,))
+        head: list[Layer] = [GlobalAvgPool()]
+        fan_in = spec.final_filters
+    else:
+        head = [Flatten()]
+        fan_in = spec.final_filters * spec.map_size * spec.map_size
+        for i, width in enumerate(spec.head.widths, 1):
+            head += [Dense(f"head.fc{i}", fan_in, width), Relu()]
+            fan_in = width
+    head.append(Dense("head.out", fan_in, spec.num_classes))
+    return features, head
 
 
 def build(spec: ArchSpec, seed: int) -> Model:
     """Instantiate a model; (spec, seed) fully determines every parameter bit.
 
     Weights are fan-in-scaled uniform draws (bound sqrt(6/fan_in)) from a
-    single seeded stream consumed in parameter order; biases start at zero.
+    single seeded stream consumed in layer order; biases start at zero.
     """
     rng = np.random.default_rng(seed)
+    features, head = layers(spec)
     params: dict[str, Tensor] = {}
-    in_ch = spec.in_channels
-    for b, (count, filters) in enumerate(spec.blocks, 1):
-        for i in range(1, count + 1):
-            fan_in = in_ch * KERNEL * KERNEL
-            params[f"block{b}.conv{i}.w"] = _uniform(rng, (filters, in_ch, KERNEL, KERNEL), fan_in)
-            params[f"block{b}.conv{i}.b"] = Tensor.zeros((filters,))
-            in_ch = filters
-    _init_head(spec, rng, params)
+    for layer in features + head:
+        params.update(layer.init(rng))
     return Model(spec=spec, params=params, trainable={name: True for name in params})
 
 
@@ -167,20 +258,18 @@ def replace_head(model: Model, num_classes: int, seed: int) -> Model:
     """
     spec = replace(model.spec, num_classes=num_classes)
     params = {n: t for n, t in model.params.items() if param_block(n) is not None}
-    trainable = {n: model.trainable[n] for n in params}
-    _init_head(spec, np.random.default_rng(seed), params)
-    for name in params:
-        if param_block(name) is None:
-            trainable[name] = True
+    rng = np.random.default_rng(seed)
+    for layer in layers(spec)[1]:
+        params.update(layer.init(rng))
+    trainable = {n: param_block(n) is None or model.trainable[n] for n in params}
     return Model(spec=spec, params=params, trainable=trainable)
 
 
 def set_trainable(model: Model, freeze_up_to_block: int) -> Model:
     """Freeze blocks 1..k; blocks above k and the head become trainable."""
-    if not 0 <= freeze_up_to_block <= model.block_count:
-        raise ValueError(
-            f"freeze depth {freeze_up_to_block} out of range 0..{model.block_count}"
-        )
+    blocks = len(model.spec.blocks)
+    if not 0 <= freeze_up_to_block <= blocks:
+        raise ValueError(f"freeze depth {freeze_up_to_block} out of range 0..{blocks}")
     trainable = {}
     for name in model.params:
         b = param_block(name)
@@ -197,90 +286,42 @@ class ForwardTrace:
     final_conv_maps: Tensor
 
 
-def _check_batch(model: Model, batch: Tensor):
+def _walk(stack: list[Layer], params: dict[str, Tensor], x: Tensor, tape) -> Tensor:
+    for layer in stack:
+        x, ctx = layer.forward(params, x)
+        if tape is not None:
+            tape.append((layer, ctx))
+    return x
+
+
+def _run(model: Model, batch: Tensor, tape=None) -> ForwardTrace:
+    """Forward pass; appends (layer, ctx) per layer to tape when one is given."""
     spec = model.spec
     if batch.rank != 4:
         raise ShapeError(f"batch must be NCHW, got {batch.shape}")
     expect = (spec.in_channels, spec.input_size, spec.input_size)
     if batch.shape[1:] != expect:
         raise ShapeError(f"batch shape {batch.shape[1:]} != expected {expect}")
-
-
-def _run(model: Model, batch: Tensor, record: bool):
-    """Forward pass; optionally records per-layer inputs for the backward walk."""
-    p = model.params
-    tape = [] if record else None
-    x = batch
-    for b, (count, _) in enumerate(model.spec.blocks, 1):
-        for i in range(1, count + 1):
-            cp = nn.ConvParams(p[f"block{b}.conv{i}.w"], p[f"block{b}.conv{i}.b"],
-                               stride=1, padding=KERNEL // 2)
-            z = nn.conv2d_forward(x, cp)
-            if record:
-                tape.append(("conv", f"block{b}.conv{i}", x, cp))
-                tape.append(("relu", None, z, None))
-            x = nn.relu(z)
-        x, mask = nn.maxpool2d_forward(x)
-        if record:
-            tape.append(("pool", None, mask, None))
-    final_maps = x
-    if isinstance(model.spec.head, GapHead):
-        pooled = nn.global_avg_pool(final_maps)
-        if record:
-            tape.append(("gap", None, final_maps.shape, None))
-        logits = nn.dense_forward(pooled, p["head.out.w"], p["head.out.b"])
-        if record:
-            tape.append(("dense", "head.out", pooled, None))
-    else:
-        n = final_maps.shape[0]
-        x = Tensor._wrap(np.ascontiguousarray(final_maps.array.reshape(n, -1)))
-        if record:
-            tape.append(("flatten", None, final_maps.shape, None))
-        for stem, _, _ in _head_dims(model.spec)[:-1]:
-            z = nn.dense_forward(x, p[f"head.{stem}.w"], p[f"head.{stem}.b"])
-            if record:
-                tape.append(("dense", f"head.{stem}", x, None))
-                tape.append(("relu", None, z, None))
-            x = nn.relu(z)
-        logits = nn.dense_forward(x, p["head.out.w"], p["head.out.b"])
-        if record:
-            tape.append(("dense", "head.out", x, None))
-    probs = nn.softmax(logits)
-    return ForwardTrace(logits=logits, probs=probs, final_conv_maps=final_maps), tape
+    features, head = layers(spec)
+    maps = _walk(features, model.params, batch, tape)
+    logits = _walk(head, model.params, maps, tape)
+    return ForwardTrace(logits=logits, probs=nn.softmax(logits), final_conv_maps=maps)
 
 
 def forward(model: Model, batch: Tensor) -> ForwardTrace:
-    _check_batch(model, batch)
-    trace, _ = _run(model, batch, record=False)
-    return trace
+    return _run(model, batch)
 
 
 def loss_and_gradients(model: Model, batch: Tensor, targets) -> tuple[float, Tensor, dict[str, Tensor]]:
     """One forward/backward pass: (mean loss, probs, gradient per parameter)."""
-    _check_batch(model, batch)
-    trace, tape = _run(model, batch, record=True)
+    tape: list = []
+    trace = _run(model, batch, tape)
     loss = nn.cross_entropy(trace.probs, targets)
     grads: dict[str, Tensor] = {}
     d = nn.cross_entropy_backward(trace.probs, targets)
-    for kind, name, saved, extra in reversed(tape):
-        if kind == "dense":
-            lg = nn.dense_backward(saved, model.params[f"{name}.w"], d)
-            grads[f"{name}.w"] = lg.d_params["weights"]
-            grads[f"{name}.b"] = lg.d_params["bias"]
-            d = lg.d_input
-        elif kind == "relu":
-            d = nn.relu_backward(saved, d)
-        elif kind == "gap":
-            d = nn.global_avg_pool_backward(saved, d)
-        elif kind == "flatten":
-            d = Tensor._wrap(np.ascontiguousarray(d.array.reshape(saved)))
-        elif kind == "pool":
-            d = nn.maxpool2d_backward(saved, d)
-        elif kind == "conv":
-            lg = nn.conv2d_backward(saved, extra, d)
-            grads[f"{name}.w"] = lg.d_params["weights"]
-            grads[f"{name}.b"] = lg.d_params["bias"]
-            d = lg.d_input
+    for layer, ctx in reversed(tape):
+        d, layer_grads = layer.backward(ctx, d)
+        grads.update(layer_grads)
     return loss, trace.probs, grads
 
 
@@ -301,8 +342,7 @@ def gap_head_weights(model: Model) -> Tensor:
     return model.params["head.out.w"]
 
 
-def spec_from_params(params: dict[str, Tensor], head_widths_hint=None,
-                     input_size: int | None = None) -> ArchSpec:
+def spec_from_params(params: dict[str, Tensor], input_size: int | None = None) -> ArchSpec:
     """Reconstruct an ArchSpec from a parameter map (for loading archives).
 
     For GAP-head maps the input size is not encoded in any shape, so it

@@ -2,9 +2,10 @@
 softmax and cross-entropy.
 
 Every operation is a pure function; backward passes take the original
-forward inputs explicitly instead of relying on hidden layer state.
-Convolution runs as im2col + matmul (the naive sliding-window loop is
-kept as an oracle in the test suite).
+forward inputs explicitly instead of relying on hidden layer state. The
+layer objects of model.layers call these functions and keep those
+inputs as their ctx. Convolution runs as im2col + matmul (the naive
+sliding-window loop is kept as an oracle in the test suite).
 """
 
 from __future__ import annotations
@@ -54,11 +55,6 @@ class PoolMask:
 
     window_argmax: np.ndarray
     input_shape: tuple[int, int, int, int]
-
-    def position(self, n: int, c: int, oy: int, ox: int) -> tuple[int, int]:
-        """Input (y, x) of the winner of window (oy, ox)."""
-        k = int(self.window_argmax[n, c, oy, ox])
-        return (2 * oy + k // 2, 2 * ox + k % 2)
 
 
 def _conv_geometry(x_shape, p: ConvParams):

@@ -8,33 +8,9 @@ result to 32-bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ShapeError
-
-
-@dataclass(frozen=True)
-class Shape4:
-    """Batch/channel/height/width geometry of an image tensor.
-
-    The canonical full-size image shape is c=3, h=224, w=224; toy models
-    use smaller, pool-divisible sizes.
-    """
-
-    n: int
-    c: int
-    h: int
-    w: int
-
-    def __post_init__(self):
-        for field in ("n", "c", "h", "w"):
-            if getattr(self, field) < 1:
-                raise ShapeError(f"Shape4.{field} must be >= 1, got {getattr(self, field)}")
-
-    def as_tuple(self) -> tuple[int, int, int, int]:
-        return (self.n, self.c, self.h, self.w)
 
 
 class Tensor:
@@ -105,73 +81,6 @@ class Tensor:
         return f"Tensor(shape={list(self.shape)})"
 
 
-def flat_offset(shape, index) -> int:
-    """Row-major offset of a multi-index."""
-    if len(index) != len(shape):
-        raise ShapeError(f"index rank {len(index)} != shape rank {len(shape)}")
-    off = 0
-    for d, i in zip(shape, index):
-        if not 0 <= i < d:
-            raise ShapeError(f"index {tuple(index)} out of bounds for shape {tuple(shape)}")
-        off = off * d + i
-    return off
-
-
-def multi_index(shape, offset: int) -> tuple[int, ...]:
-    """Inverse of flat_offset."""
-    idx = []
-    for d in reversed(shape):
-        idx.append(offset % d)
-        offset //= d
-    if offset:
-        raise ShapeError(f"offset out of bounds for shape {tuple(shape)}")
-    return tuple(reversed(idx))
-
-
 def _mm64(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """float32 matrix product with 64-bit accumulation."""
     return (a.astype(np.float64) @ b.astype(np.float64)).astype(np.float32)
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Rank-2 product [m x k]·[k x n] -> [m x n]."""
-    if a.rank != 2 or b.rank != 2:
-        raise ShapeError(f"matmul needs rank-2 operands, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul inner dimensions differ: {a.shape} x {b.shape}")
-    return Tensor._wrap(_mm64(a.array, b.array))
-
-
-def map_unary(t: Tensor, f) -> Tensor:
-    """Apply a scalar function elementwise; result rounded to float32."""
-    out = np.fromiter((f(float(x)) for x in t.flat), dtype=np.float64, count=t.size)
-    return Tensor._wrap(out.astype(np.float32).reshape(t.shape))
-
-
-def reduce(t: Tensor, axis: int, op: str) -> Tensor:
-    """Collapse one axis with sum, max or mean.
-
-    sum/mean accumulate left-to-right along the axis in 64-bit;
-    reducing a rank-1 tensor yields shape [1].
-    """
-    if not 0 <= axis < t.rank:
-        raise ShapeError(f"axis {axis} out of range for rank {t.rank}")
-    moved = np.moveaxis(t.array, axis, 0)
-    n = moved.shape[0]
-    if op == "max":
-        out = np.array(moved[0], dtype=np.float32)
-        for i in range(1, n):
-            np.maximum(out, moved[i], out=out)
-    elif op in ("sum", "mean"):
-        acc = moved[0].astype(np.float64)
-        for i in range(1, n):
-            acc = acc + moved[i]
-        if op == "mean":
-            acc = acc / n
-        out = acc.astype(np.float32)
-    else:
-        raise ValueError(f"unknown reduce op {op!r}; expected sum, max or mean")
-    out_shape = t.shape[:axis] + t.shape[axis + 1 :]
-    if not out_shape:
-        out_shape = (1,)
-    return Tensor._wrap(np.ascontiguousarray(out.reshape(out_shape)))

@@ -28,14 +28,6 @@ MAGIC = b"DNW1"
 FORMAT_VERSION = 1
 
 
-def archive_size(params: dict[str, Tensor]) -> int:
-    """Exact byte length write_weights will produce for this parameter map."""
-    size = len(MAGIC) + 4
-    for name, t in params.items():
-        size += 4 + len(name.encode("utf-8")) + 4 + 4 * t.rank + 4 * t.size
-    return size
-
-
 def write_weights(model: Model, sink: BinaryIO) -> int:
     """Serialize every parameter in model order; returns bytes written."""
     written = 0

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from defectnet.cam import (COLORMAP, BoundingRegion, Heatmap, bounding_region,
-                           colormap, compute_cam, overlay, upsample)
+                           compute_cam, overlay, upsample)
 from defectnet.errors import CapabilityError, ShapeError
 from defectnet.model import ForwardTrace
 from defectnet.tensor import Tensor
@@ -129,21 +129,21 @@ class TestOverlay:
         out = overlay(h, img, alpha=1.0)
         for y in range(2):
             for x in range(2):
-                want = colormap(float(h.values[y, x]))
+                want = COLORMAP[int(h.values[y, x] * 255 + 0.5)]
                 assert np.allclose(out.array[:, y, x], want, atol=1e-7)
 
     def test_half_alpha_blend_on_zero_heatmap(self):
         img = Tensor.full((3, 2, 2), 0.5)
         h = Heatmap(Tensor.zeros((2, 2)), 0, (2, 2), degenerate=True)
         out = overlay(h, img, alpha=0.5)
-        blue = colormap(0.0)  # (0, 0, 1)
+        blue = COLORMAP[0]  # (0, 0, 1)
         want = [0.5 * 0.5 + 0.5 * c for c in blue]
         assert np.allclose(out.array[:, 0, 0], want, atol=1e-7)
 
     def test_colormap_endpoints(self):
-        assert colormap(0.0) == (0.0, 0.0, 1.0)  # blue
-        assert colormap(1.0) == (1.0, 0.0, 0.0)  # red
-        g = colormap(0.5)
+        assert COLORMAP[0].tolist() == [0.0, 0.0, 1.0]  # blue
+        assert COLORMAP[255].tolist() == [1.0, 0.0, 0.0]  # red
+        g = COLORMAP[128]  # the entry overlay picks for 0.5
         assert g[1] > 0.98 and g[0] < 0.02
         assert COLORMAP.shape == (256, 3)
 

@@ -162,6 +162,16 @@ class TestTrain:
         cfg = toy_config(tmp_path, tmp_path / "absent", tmp_path / "run")
         assert main(["train", "--config", str(cfg)]) == 3
 
+    def test_missing_init_weights_exit_3(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        small_tree(data)
+        cfg = toy_config(tmp_path, data, tmp_path / "run",
+                         init_weights=tmp_path / "absent.dnw")
+        assert main(["train", "--config", str(cfg)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "absent.dnw" in err
+        assert err.count("\n") == 1
+
 
 class TestEval:
     COUNTS = ("label,deterioration,mould,normal,stain\n"
@@ -229,6 +239,29 @@ class TestEval:
 
     def test_eval_missing_model_exit_3(self, tmp_path):
         assert main(["eval", str(tmp_path / "no.dnw"), str(tmp_path)]) == 3
+
+    @pytest.mark.parametrize("text", [
+        None,                                    # missing file
+        "",                                      # empty file
+        COUNTS[:COUNTS.index("\nnormal,") + 1],  # short: two of four rows
+        COUNTS.replace("167", "1x7"),            # non-integer cell
+        COUNTS.replace("167", "-167"),           # negative count
+        COUNTS.replace("mould,4,167", "mould,4"),  # short row
+        COUNTS + "stain,1,1,1,1\n",              # extra row
+        COUNTS.replace("\nnormal,", "\nNormal,"),  # mislabelled row
+        "label,deterioration,mould,normal,stain\n" + "".join(  # no samples
+            f"{name},0,0,0,0\n" for name in ("deterioration", "mould", "normal", "stain")),
+    ], ids=["missing", "empty", "short", "non-integer", "negative", "short-row",
+         "extra-row", "mislabelled", "all-zero"])
+    def test_malformed_counts_exit_3(self, tmp_path, capsys, text):
+        counts = tmp_path / "counts.csv"
+        if text is not None:
+            counts.write_text(text)
+        out_csv = tmp_path / "confusion.csv"
+        assert main(["eval", "--counts", str(counts), "--out-csv", str(out_csv)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out_csv.exists()
 
 
 class TestPredict:

@@ -5,10 +5,9 @@ from hypothesis import strategies as st
 from synth_data import from_float, solid_image
 
 from defectnet.data import (AugmentParams, LabeledDataset, RasterImage, augment,
-                            cap_per_class, decode_ppm, encode_ppm, hflip,
-                            image_from_tensor, image_to_tensor, load_dataset,
-                            per_item_rng, rotate_nearest, slice_image, split,
-                            vflip)
+                            decode_ppm, encode_ppm, hflip, image_from_tensor,
+                            image_to_tensor, load_dataset, rotate_nearest,
+                            slice_image, split, vflip)
 from defectnet.errors import DatasetError, PpmParseError
 from defectnet.labels import LABEL_NAMES
 
@@ -198,29 +197,6 @@ class TestSplit:
         assert sorted(train.items + val.items, key=key) == sorted(ds.items, key=key)
 
 
-class TestCapPerClass:
-    def test_caps_oversized_classes_only(self):
-        items = ([(solid_image(1, (i, 0, 0)), 0) for i in range(10)]
-                 + [(solid_image(1, (i, 1, 0)), 1) for i in range(3)])
-        ds = LabeledDataset(items=items)
-        capped = cap_per_class(ds, 5, seed=0)
-        assert capped.counts() == [5, 3, 0, 0]
-
-    def test_deterministic(self):
-        items = [(solid_image(1, (i, 0, 0)), i % 4) for i in range(40)]
-        ds = LabeledDataset(items=items)
-        a = cap_per_class(ds, 4, seed=9)
-        b = cap_per_class(ds, 4, seed=9)
-        assert [i[0].pixels for i in a.items] == [i[0].pixels for i in b.items]
-
-    def test_preserves_relative_order(self):
-        items = [(solid_image(1, (i, 0, 0)), 0) for i in range(20)]
-        ds = LabeledDataset(items=items)
-        capped = cap_per_class(ds, 8, seed=3)
-        reds = [i[0].pixels[0] for i in capped.items]
-        assert reds == sorted(reds)
-
-
 class TestAugment:
     def _checker(self):
         a = np.zeros((2, 2, 3))
@@ -235,7 +211,7 @@ class TestAugment:
                           allow_hflip=False, allow_vflip=False)
         assert p.disabled
         img = self._checker()
-        assert augment(img, p, per_item_rng(0, 0)) == img
+        assert augment(img, p, np.random.default_rng((0, 0))) == img
 
     def test_hflip_involution(self):
         img = self._checker()
@@ -265,12 +241,12 @@ class TestAugment:
         p = AugmentParams(rotation_max_deg=25, shift_max_frac=0.3,
                           allow_hflip=True, allow_vflip=True, rng_seed=3)
         for i in range(10):
-            out = augment(img, p, per_item_rng(p.rng_seed, i))
+            out = augment(img, p, np.random.default_rng((p.rng_seed, i)))
             assert (out.width, out.height) == (img.width, img.height)
 
     def test_per_item_streams_are_schedule_independent(self):
         img = self._checker()
         p = AugmentParams(rng_seed=5)
-        a = augment(img, p, per_item_rng(5, 17))
-        b = augment(img, p, per_item_rng(5, 17))
+        a = augment(img, p, np.random.default_rng((5, 17)))
+        b = augment(img, p, np.random.default_rng((5, 17)))
         assert a == b

@@ -109,6 +109,18 @@ class TestReplaceHead:
         x = Tensor(np.zeros((3, 3, 8, 8), dtype=np.float32))
         assert forward(m, x).logits.shape == (3, 4)
 
+    def test_fc_head_redrawn_at_new_width(self):
+        spec = ArchSpec(((1, 4),), FcHead((16, 8)), num_classes=1000, input_size=8)
+        m = set_trainable(build(spec, seed=3), freeze_up_to_block=1)
+        m2 = replace_head(m, num_classes=4, seed=9)
+        assert list(m2.params) == list(build(m2.spec, seed=0).params)
+        assert m2.params["block1.conv1.w"] is m.params["block1.conv1.w"]
+        assert m2.params["head.out.w"].shape == (8, 4)
+        assert not np.array_equal(m2.params["head.fc1.w"].array, m.params["head.fc1.w"].array)
+        assert [n for n, on in m2.trainable.items() if not on] == ["block1.conv1.w", "block1.conv1.b"]
+        x = Tensor(np.zeros((2, 3, 8, 8), dtype=np.float32))
+        assert forward(m2, x).logits.shape == (2, 4)
+
     def test_new_head_trainable(self):
         m = set_trainable(build(TOY, seed=0), freeze_up_to_block=1)
         m2 = replace_head(m, 4, seed=2)
@@ -261,29 +273,31 @@ class TestLossAndGradients:
             assert g.shape == m.params[name].shape, name
         assert loss > 0
 
-    def test_whole_model_gradient_matches_finite_differences(self):
-        # end-to-end check through conv+relu+pool+gap+dense+softmax+CE
+    @pytest.mark.parametrize("head", [GapHead(), FcHead((3,))], ids=["gap", "fc"])
+    def test_whole_model_gradient_matches_finite_differences(self, head):
+        # end-to-end check through conv+relu+pool, then gap+dense or
+        # flatten+dense+relu+dense, then softmax+CE
         from gradcheck import assert_grad_close, central_diff
-        from naive_ops import naive_conv2d, naive_gap, naive_relu, naive_softmax_ce
+        from naive_ops import naive_conv2d, naive_dense, naive_gap, naive_relu, naive_softmax_ce
 
-        spec = ArchSpec(((1, 2),), GapHead(), num_classes=3, in_channels=1, input_size=4)
+        spec = ArchSpec(((1, 2),), head, num_classes=3, in_channels=1, input_size=4)
         m = build(spec, seed=9)
         rng = np.random.default_rng(8)
         x = rng.uniform(0.1, 1.0, (2, 1, 4, 4)).astype(np.float32)
         targets = [0, 2]
         _, _, grads = loss_and_gradients(m, Tensor(x), targets)
-
-        w = m.params["block1.conv1.w"].array.astype(np.float64)
-        b = m.params["block1.conv1.b"].array.astype(np.float64)
-        hw = m.params["head.out.w"].array.astype(np.float64)
-        hb = m.params["head.out.b"].array.astype(np.float64)
+        p = {name: t.array.astype(np.float64) for name, t in m.params.items()}
 
         def f():
-            a = naive_relu(naive_conv2d(x.astype(np.float64), w, b, 1, 1))
+            a = naive_relu(naive_conv2d(x.astype(np.float64), p["block1.conv1.w"],
+                                        p["block1.conv1.b"], 1, 1))
             pooled = a.reshape(2, 2, 2, 2, 2, 2).max(axis=(3, 5))
-            logits = naive_gap(pooled) @ hw + hb
-            return naive_softmax_ce(logits, targets)
+            if isinstance(head, GapHead):
+                feats = naive_gap(pooled)
+            else:
+                feats = naive_relu(naive_dense(pooled.reshape(2, -1), p["head.fc1.w"],
+                                               p["head.fc1.b"]))
+            return naive_softmax_ce(naive_dense(feats, p["head.out.w"], p["head.out.b"]), targets)
 
-        assert_grad_close(grads["block1.conv1.w"].array, central_diff(f, w), "conv1.w")
-        assert_grad_close(grads["head.out.w"].array, central_diff(f, hw), "head.out.w")
-        assert_grad_close(grads["head.out.b"].array, central_diff(f, hb), "head.out.b")
+        for name, value in p.items():
+            assert_grad_close(grads[name].array, central_diff(f, value), name)

@@ -99,7 +99,7 @@ class TestMaxPool:
     def test_single_window(self):
         out, mask = nn.maxpool2d_forward(t32([[[[1.0, 2.0], [3.0, 4.0]]]]))
         assert out.tolist() == [[[[4.0]]]]
-        assert mask.position(0, 0, 0, 0) == (1, 1)
+        assert mask.window_argmax.tolist() == [[[[3]]]]  # bottom-right of the window
 
     def test_tie_breaks_to_first_row_major(self):
         out, mask = nn.maxpool2d_forward(t32(np.full((1, 1, 4, 4), 7.0)))

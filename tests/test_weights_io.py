@@ -7,8 +7,7 @@ import pytest
 from defectnet.errors import ArchiveError
 from defectnet.model import ArchSpec, GapHead, arch_preset, build, param_block, replace_head
 from defectnet.tensor import Tensor
-from defectnet.weights_io import (archive_size, load_into, read_weights,
-                                  write_weights)
+from defectnet.weights_io import load_into, read_weights, write_weights
 
 TOY = ArchSpec(((1, 4),), GapHead(), num_classes=4, in_channels=3, input_size=8)
 
@@ -57,7 +56,7 @@ class TestWriteFormat:
         m = build(arch_preset("paper-vgg16"), seed=1)
         buf = io.BytesIO()
         n = write_weights(m, buf)
-        assert n == len(buf.getvalue()) == archive_size(m.params)
+        assert n == len(buf.getvalue())
 
 
 class TestReadErrors:
