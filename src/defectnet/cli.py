@@ -214,33 +214,47 @@ def cmd_prepare(args) -> int:
     return 0
 
 
+def _train_settings(cfg: dict) -> tuple[AugmentParams, TrainConfig]:
+    """Range-check the training settings, before any file is read."""
+    if not 0.0 < cfg["val_fraction"] < 1.0:
+        raise ConfigError(f"val_fraction must be in (0,1), got {cfg['val_fraction']}")
+    if cfg["init_policy"] not in weights_io.POLICIES:
+        raise ConfigError(f"unknown init_policy {cfg['init_policy']!r}; "
+                          f"use {' or '.join(weights_io.POLICIES)}")
+    try:
+        aug = AugmentParams(
+            rotation_max_deg=cfg["rotation_max_deg"],
+            shift_max_frac=cfg["shift_max_frac"],
+            allow_hflip=cfg["allow_hflip"],
+            allow_vflip=cfg["allow_vflip"],
+            rng_seed=cfg["aug_seed"],
+        )
+        tc = TrainConfig(
+            epochs=cfg["epochs"], batch_size=cfg["batch_size"],
+            steps_per_epoch=cfg["steps_per_epoch"], learning_rate=cfg["learning_rate"],
+            momentum=cfg["momentum"], seed=cfg["seed"],
+        )
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    return aug, tc
+
+
 def cmd_train(args) -> int:
     cfg = load_config(args.config)
+    aug, tc = _train_settings(cfg)
     spec = arch_from_config(cfg)
     net = build(spec, seed=cfg["seed"])
-    if cfg["init_weights"]:
-        net = weights_io.load_into(net, _read_archive(Path(cfg["init_weights"])),
-                                   cfg["init_policy"])
     try:
         net = set_trainable(net, cfg["freeze_blocks"])
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    if cfg["init_weights"]:
+        net = weights_io.load_into(net, _read_archive(Path(cfg["init_weights"])),
+                                   cfg["init_policy"])
     ds = load_dataset(cfg["data_dir"])
     for w in ds.warnings:
         print(f"warning: {w}")
     train_ds, val_ds = split(ds, cfg["val_fraction"], cfg["seed"])
-    aug = AugmentParams(
-        rotation_max_deg=cfg["rotation_max_deg"],
-        shift_max_frac=cfg["shift_max_frac"],
-        allow_hflip=cfg["allow_hflip"],
-        allow_vflip=cfg["allow_vflip"],
-        rng_seed=cfg["aug_seed"],
-    )
-    tc = TrainConfig(
-        epochs=cfg["epochs"], batch_size=cfg["batch_size"],
-        steps_per_epoch=cfg["steps_per_epoch"], learning_rate=cfg["learning_rate"],
-        momentum=cfg["momentum"], seed=cfg["seed"],
-    )
     net, history = train(net, train_ds, val_ds, aug, tc)
     out = Path(cfg["out_dir"])
     out.mkdir(parents=True, exist_ok=True)
@@ -319,6 +333,10 @@ def cmd_predict(args) -> int:
 
 
 def cmd_cam(args) -> int:
+    if not 0.0 <= args.alpha <= 1.0:
+        raise ConfigError(f"--alpha must be in [0,1], got {args.alpha}")
+    if not 0.0 < args.threshold < 1.0:
+        raise ConfigError(f"--threshold must be in (0,1), got {args.threshold}")
     net = load_model(args.model)
     head_w = model_mod.gap_head_weights(net)
     img = _require_image(args.image, net.spec.input_size)

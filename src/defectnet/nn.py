@@ -5,7 +5,11 @@ Every operation is a pure function; backward passes take the original
 forward inputs explicitly instead of relying on hidden layer state. The
 layer objects of model.layers call these functions and keep those
 inputs as their ctx. Convolution runs as im2col + matmul (the naive
-sliding-window loop is kept as an oracle in the test suite).
+sliding-window loop is kept as an oracle in the test suite): each
+direction builds one float64 patch matrix [C*kh*kw x N*oh*ow], rows in
+(c, i, j) and columns in (n, y, x) order, written straight from a padded
+(C, N, H, W) copy of the input, and multiplies W @ cols, so no float32
+staging copy or transpose of the patch matrix is ever made.
 """
 
 from __future__ import annotations
@@ -72,26 +76,27 @@ def _conv_geometry(x_shape, p: ConvParams):
 
 
 def _im2col(x: np.ndarray, kh, kw, stride, pad, oh, ow) -> np.ndarray:
+    """float64 patch matrix [C*kh*kw x N*oh*ow]: rows (c, i, j), columns (n, y, x)."""
     n, c, h, w = x.shape
-    if pad:
-        x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    cols = np.empty((n, c, kh, kw, oh, ow), dtype=np.float32)
+    xp = np.zeros((c, n, h + 2 * pad, w + 2 * pad), dtype=np.float32)
+    xp[:, :, pad : pad + h, pad : pad + w] = x.transpose(1, 0, 2, 3)
+    cols = np.empty((c, kh, kw, n, oh, ow), dtype=np.float64)
     for i in range(kh):
         for j in range(kw):
-            cols[:, :, i, j] = x[:, :, i : i + stride * oh : stride, j : j + stride * ow : stride]
-    return cols.transpose(0, 4, 5, 1, 2, 3).reshape(n * oh * ow, c * kh * kw)
+            cols[:, i, j] = xp[:, :, i : i + stride * oh : stride, j : j + stride * ow : stride]
+    return cols.reshape(c * kh * kw, n * oh * ow)
 
 
 def _col2im(d_cols: np.ndarray, x_shape, kh, kw, stride, pad, oh, ow) -> np.ndarray:
+    """Adjoint of _im2col: scatter-add [C*kh*kw x N*oh*ow] back to NCHW float32."""
     n, c, h, w = x_shape
-    dxp = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype=np.float64)
-    dc = d_cols.reshape(n, oh, ow, c, kh, kw).transpose(0, 3, 4, 5, 1, 2)
+    dxp = np.zeros((c, n, h + 2 * pad, w + 2 * pad), dtype=np.float64)
+    dc = d_cols.reshape(c, kh, kw, n, oh, ow)
     for i in range(kh):
         for j in range(kw):
-            dxp[:, :, i : i + stride * oh : stride, j : j + stride * ow : stride] += dc[:, :, i, j]
-    if pad:
-        dxp = dxp[:, :, pad : pad + h, pad : pad + w]
-    return dxp.astype(np.float32)
+            dxp[:, :, i : i + stride * oh : stride, j : j + stride * ow : stride] += dc[:, i, j]
+    dx = dxp[:, :, pad : pad + h, pad : pad + w].transpose(1, 0, 2, 3)
+    return np.ascontiguousarray(dx, dtype=np.float32)
 
 
 def conv2d_forward(x: Tensor, p: ConvParams) -> Tensor:
@@ -102,9 +107,8 @@ def conv2d_forward(x: Tensor, p: ConvParams) -> Tensor:
     """
     n, c, h, w, out_ch, kh, kw, oh, ow = _conv_geometry(x.shape, p)
     cols = _im2col(x.array, kh, kw, p.stride, p.padding, oh, ow)
-    w_mat = p.weights.array.reshape(out_ch, -1).T
-    out = _mm64(cols, w_mat) + p.bias.array
-    return Tensor._wrap(np.ascontiguousarray(out.reshape(n, oh, ow, out_ch).transpose(0, 3, 1, 2)))
+    out = _mm64(p.weights.array.reshape(out_ch, -1), cols) + p.bias.array[:, None]
+    return Tensor._wrap(np.ascontiguousarray(out.reshape(out_ch, n, oh, ow).transpose(1, 0, 2, 3)))
 
 
 def conv2d_backward(x: Tensor, p: ConvParams, d_out: Tensor) -> LayerGradients:
@@ -113,10 +117,11 @@ def conv2d_backward(x: Tensor, p: ConvParams, d_out: Tensor) -> LayerGradients:
     if d_out.shape != (n, out_ch, oh, ow):
         raise ShapeError(f"d_out shape {d_out.shape} != forward output ({n}, {out_ch}, {oh}, {ow})")
     cols = _im2col(x.array, kh, kw, p.stride, p.padding, oh, ow)
-    d_mat = np.ascontiguousarray(d_out.array.transpose(0, 2, 3, 1)).reshape(n * oh * ow, out_ch)
+    d_mat = np.ascontiguousarray(d_out.array.transpose(1, 0, 2, 3), dtype=np.float64).reshape(out_ch, -1)
     d_bias = np.sum(d_out.array, axis=(0, 2, 3), dtype=np.float64).astype(np.float32)
-    d_w = _mm64(d_mat.T, cols).reshape(out_ch, c, kh, kw)
-    d_cols = _mm64(d_mat, p.weights.array.reshape(out_ch, -1))
+    d_w = _mm64(d_mat, cols.T).reshape(out_ch, c, kh, kw)
+    del cols
+    d_cols = _mm64(p.weights.array.reshape(out_ch, -1).T, d_mat)
     d_input = _col2im(d_cols, x.shape, kh, kw, p.stride, p.padding, oh, ow)
     return LayerGradients(
         d_input=Tensor._wrap(d_input),

@@ -82,5 +82,9 @@ class Tensor:
 
 
 def _mm64(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """float32 matrix product with 64-bit accumulation."""
-    return (a.astype(np.float64) @ b.astype(np.float64)).astype(np.float32)
+    """float32 matrix product with 64-bit accumulation.
+
+    Operands already in float64 (the conv patch matrices) pass through
+    without a copy; float32 operands are widened first.
+    """
+    return (a.astype(np.float64, copy=False) @ b.astype(np.float64, copy=False)).astype(np.float32)

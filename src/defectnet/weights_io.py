@@ -86,6 +86,9 @@ def read_weights(source: BinaryIO) -> dict[str, Tensor]:
     return params
 
 
+POLICIES = ("strict", "skip-missing")
+
+
 def load_into(model: Model, params: dict[str, Tensor], policy: str = "strict") -> Model:
     """Copy archive values into a model.
 
@@ -94,7 +97,7 @@ def load_into(model: Model, params: dict[str, Tensor], policy: str = "strict") -
     load; every other model parameter keeps its current value (how a
     differently-headed archive initializes a re-headed model).
     """
-    if policy not in ("strict", "skip-missing"):
+    if policy not in POLICIES:
         raise ValueError(f"unknown policy {policy!r}; use 'strict' or 'skip-missing'")
     if policy == "strict":
         missing = [n for n in model.params if n not in params]

@@ -172,6 +172,27 @@ class TestTrain:
         assert err.startswith("error: ") and "absent.dnw" in err
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("override", [
+        {"epochs": -1},
+        {"momentum": 1.5},
+        {"batch_size": 0},
+        {"steps_per_epoch": 0},
+        {"learning_rate": 0},
+        {"seed": -1},
+        {"val_fraction": 2},
+        {"rotation_max_deg": -5},
+        {"shift_max_frac": 0.9},
+        {"aug_seed": -1},
+        {"init_policy": "lenient", "init_weights": "absent.dnw"},
+        {"freeze_blocks": 5, "init_weights": "absent.dnw"},
+    ], ids=lambda o: next(iter(o)))
+    def test_bad_setting_exit_2_before_any_io(self, tmp_path, capsys, override):
+        # data_dir and init_weights are absent: a check made after IO exits 3
+        cfg = toy_config(tmp_path, tmp_path / "absent", tmp_path / "run", **override)
+        assert main(["train", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+
 
 class TestEval:
     COUNTS = ("label,deterioration,mould,normal,stain\n"
@@ -357,6 +378,19 @@ class TestCam:
         rc = main(["cam", str(zero224), str(img), str(tmp_path / "o.ppm"),
                    "--class", "rust"])
         assert rc == 2
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--alpha", "2"), ("--alpha", "-0.1"), ("--threshold", "0"), ("--threshold", "1.5"),
+    ])
+    def test_out_of_range_option_exit_2_before_loading(self, tmp_path, capsys, flag, value):
+        img = tmp_path / "in.ppm"
+        img.write_bytes(encode_ppm(solid_image(16, (1, 1, 1))))
+        rc = main(["cam", str(tmp_path / "absent.dnw"), str(img), str(tmp_path / "o.ppm"),
+                   flag, value])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {flag} ") and err.count("\n") == 1
+        assert not (tmp_path / "o.ppm").exists()
 
     def test_overlay_deterministic(self, tmp_path):
         model = self._patch_model(tmp_path)

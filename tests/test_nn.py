@@ -15,6 +15,34 @@ def t32(a):
     return Tensor(np.asarray(a, dtype=np.float32))
 
 
+# (batch, in_ch, out_ch, h, w, kernel, stride, padding). Beside two
+# single-image square cases, these are the shapes on which a patch matrix
+# with swapped batch/channel axes or rows/columns gives wrong numbers:
+# batch > 1, h != w, in_ch != out_ch, stride 2, padding 0..2, kernels 1/3/5.
+CONV_CASES = [
+    (1, 3, 2, 5, 5, 3, 1, 1),
+    (1, 2, 2, 4, 4, 3, 1, 1),
+    (2, 3, 2, 5, 4, 3, 1, 1),
+    (3, 2, 3, 6, 5, 3, 2, 0),
+    (2, 3, 2, 3, 4, 5, 1, 2),
+    (2, 2, 3, 5, 6, 1, 2, 0),
+    (3, 1, 2, 7, 5, 5, 2, 2),
+    (2, 2, 3, 4, 3, 1, 1, 2),
+]
+CONV_IDS = [f"n{n}-c{c}o{o}-{h}x{w}-k{k}s{s}p{p}" for n, c, o, h, w, k, s, p in CONV_CASES]
+
+
+def conv_case(seed, n, c, o, h, w, k, stride, pad):
+    """Input, filters, bias and a projection r of the output to a scalar."""
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(n, c, h, w)).astype(np.float32)
+    wt = rng.normal(size=(o, c, k, k)).astype(np.float32)
+    b = rng.normal(size=o).astype(np.float32)
+    oh, ow = (h + 2 * pad - k) // stride + 1, (w + 2 * pad - k) // stride + 1
+    r = rng.normal(size=(n, o, oh, ow))
+    return x, wt, b, r
+
+
 class TestConvForward:
     def test_all_ones_3x3_sums_to_nine(self):
         x = t32(np.ones((1, 1, 3, 3)))
@@ -29,13 +57,13 @@ class TestConvForward:
         p = nn.ConvParams(t32(np.ones((1, 1, 1, 1))), t32([0.0]))
         assert np.array_equal(nn.conv2d_forward(x, p).array, x.array)
 
-    def test_matches_naive_oracle(self):
-        rng = np.random.default_rng(1)
-        x = rng.normal(size=(1, 3, 5, 5)).astype(np.float32)
-        w = rng.normal(size=(2, 3, 3, 3)).astype(np.float32)
-        b = rng.normal(size=2).astype(np.float32)
-        out = nn.conv2d_forward(t32(x), nn.ConvParams(t32(w), t32(b), stride=1, padding=1))
-        want = naive_conv2d(x, w, b, stride=1, pad=1)
+    @pytest.mark.parametrize("case", CONV_CASES, ids=CONV_IDS)
+    def test_matches_naive_oracle(self, case):
+        stride, pad = case[-2:]
+        x, w, b, _ = conv_case(1, *case)
+        out = nn.conv2d_forward(t32(x), nn.ConvParams(t32(w), t32(b), stride=stride, padding=pad))
+        want = naive_conv2d(x, w, b, stride=stride, pad=pad)
+        assert out.shape == want.shape
         assert np.max(np.abs(out.array - want)) < 1e-5
 
     def test_channel_mismatch(self):
@@ -57,12 +85,7 @@ class TestConvForward:
 
 class TestConvBackward:
     def _instance(self, seed):
-        rng = np.random.default_rng(seed)
-        x = rng.normal(size=(1, 2, 4, 4)).astype(np.float32)
-        w = rng.normal(size=(2, 2, 3, 3)).astype(np.float32)
-        b = rng.normal(size=2).astype(np.float32)
-        r = rng.normal(size=(1, 2, 4, 4))  # projection to a scalar
-        return x, w, b, r
+        return conv_case(seed, *CONV_CASES[1])
 
     def test_zero_upstream_gives_zero_grads(self):
         x, w, b, _ = self._instance(2)
@@ -81,14 +104,16 @@ class TestConvBackward:
         assert np.array_equal(g2.d_params["weights"].array, 2 * g1.d_params["weights"].array)
         assert np.array_equal(g2.d_params["bias"].array, 2 * g1.d_params["bias"].array)
 
-    def test_finite_differences(self):
-        x, w, b, r = self._instance(4)
-        p = nn.ConvParams(t32(w), t32(b), padding=1)
+    @pytest.mark.parametrize("case", CONV_CASES, ids=CONV_IDS)
+    def test_finite_differences(self, case):
+        stride, pad = case[-2:]
+        x, w, b, r = conv_case(4, *case)
+        p = nn.ConvParams(t32(w), t32(b), stride=stride, padding=pad)
         g = nn.conv2d_backward(t32(x), p, t32(r))
         xv, wv, bv = x.astype(np.float64), w.astype(np.float64), b.astype(np.float64)
 
         def f():
-            return float(np.sum(naive_conv2d(xv, wv, bv, 1, 1) * r))
+            return float(np.sum(naive_conv2d(xv, wv, bv, stride, pad) * r))
 
         assert_grad_close(g.d_input.array, central_diff(f, xv), "conv d_input")
         assert_grad_close(g.d_params["weights"].array, central_diff(f, wv), "conv d_weights")
