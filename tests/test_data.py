@@ -1,6 +1,7 @@
+import naive_augment
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from synth_data import from_float, solid_image
 
@@ -243,6 +244,22 @@ class TestAugment:
         for i in range(10):
             out = augment(img, p, np.random.default_rng((p.rng_seed, i)))
             assert (out.width, out.height) == (img.width, img.height)
+
+    @given(st.integers(min_value=1, max_value=40), st.integers(min_value=1, max_value=40),
+           st.sampled_from([0.0, 5.0, 20.0, 90.0, 180.0]),
+           st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=0.5)),
+           st.booleans(), st.booleans(), st.integers(min_value=0, max_value=2 ** 32 - 1))
+    @example(1, 1, 180.0, 0.5, True, True, 0)
+    @example(1, 9, 90.0, 0.3, True, False, 1)
+    @example(9, 1, 20.0, 0.0, False, True, 2)
+    @settings(max_examples=1000, deadline=None)
+    def test_matches_stage_by_stage_oracle(self, w, h, rot, shift, hf, vf, seed):
+        img = random_image(np.random.default_rng(seed), w, h)
+        p = AugmentParams(rotation_max_deg=rot, shift_max_frac=shift,
+                          allow_hflip=hf, allow_vflip=vf, rng_seed=seed)
+        got_draw, want_draw = np.random.default_rng((seed, 1)), np.random.default_rng((seed, 1))
+        assert augment(img, p, got_draw) == naive_augment.augment(img, p, want_draw)
+        assert got_draw.random() == want_draw.random()  # same number of draws
 
     def test_per_item_streams_are_schedule_independent(self):
         img = self._checker()
