@@ -230,58 +230,37 @@ class AugmentParams:
                 and not self.allow_hflip and not self.allow_vflip)
 
 
-def hflip(img: RasterImage) -> RasterImage:
-    a = img.as_array()[:, ::-1]
-    return RasterImage(img.width, img.height, np.ascontiguousarray(a).tobytes())
-
-
-def vflip(img: RasterImage) -> RasterImage:
-    a = img.as_array()[::-1]
-    return RasterImage(img.width, img.height, np.ascontiguousarray(a).tobytes())
-
-
-def _resample_nearest(img: RasterImage, src_y: np.ndarray, src_x: np.ndarray) -> RasterImage:
-    """Gather with nearest-neighbor rounding; out-of-range clamps to the edge."""
-    h, w = img.height, img.width
-    yi = np.clip(np.rint(src_y).astype(np.int64), 0, h - 1)
-    xi = np.clip(np.rint(src_x).astype(np.int64), 0, w - 1)
-    out = img.as_array()[yi, xi]
-    return RasterImage(w, h, np.ascontiguousarray(out).tobytes())
-
-
-def rotate_nearest(img: RasterImage, degrees: float) -> RasterImage:
-    """Rotate about the image center; vacated pixels replicate the nearest edge."""
-    theta = np.deg2rad(degrees)
-    cy, cx = (img.height - 1) / 2.0, (img.width - 1) / 2.0
-    ys, xs = np.indices((img.height, img.width))
-    dy, dx = ys - cy, xs - cx
-    src_x = cx + np.cos(theta) * dx + np.sin(theta) * dy
-    src_y = cy - np.sin(theta) * dx + np.cos(theta) * dy
-    return _resample_nearest(img, src_y, src_x)
-
-
-def shift_nearest(img: RasterImage, dy_frac: float, dx_frac: float) -> RasterImage:
-    """Translate by a fraction of each dimension; edges replicate."""
-    dy = dy_frac * img.height
-    dx = dx_frac * img.width
-    ys, xs = np.indices((img.height, img.width))
-    return _resample_nearest(img, ys - dy, xs - dx)
-
-
 def augment(img: RasterImage, p: AugmentParams, draw: np.random.Generator) -> RasterImage:
-    """Apply the chain in fixed order: hflip(0.5), vflip(0.5), rotation, shift.
+    """Apply the chain in fixed order: hflip(0.5), vflip(0.5), rotation about
+    the centre, shift by a fraction of each side.
 
-    Disabled stages draw nothing, so all-zero params make this the
-    identity map. The label never changes by construction.
+    Every stage is a nearest-neighbour map whose out-of-range sources
+    replicate the nearest edge, so the chain is one gather: output indices
+    are walked back through shift, rotation, vflip and hflip to source
+    indices. Disabled stages draw nothing, so all-zero params make this
+    the identity map. The label never changes by construction.
     """
-    if p.allow_hflip and draw.random() < 0.5:
-        img = hflip(img)
-    if p.allow_vflip and draw.random() < 0.5:
-        img = vflip(img)
-    if p.rotation_max_deg > 0.0:
-        img = rotate_nearest(img, draw.uniform(-p.rotation_max_deg, p.rotation_max_deg))
-    if p.shift_max_frac > 0.0:
-        dy = draw.uniform(-p.shift_max_frac, p.shift_max_frac)
-        dx = draw.uniform(-p.shift_max_frac, p.shift_max_frac)
-        img = shift_nearest(img, dy, dx)
-    return img
+    h, w = img.height, img.width
+    flip_x = p.allow_hflip and draw.random() < 0.5
+    flip_y = p.allow_vflip and draw.random() < 0.5
+    r, f = p.rotation_max_deg, p.shift_max_frac
+    theta = np.deg2rad(draw.uniform(-r, r)) if r > 0.0 else None
+    shift = (draw.uniform(-f, f) * h, draw.uniform(-f, f) * w) if f > 0.0 else None
+
+    def nearest(src_y, src_x):
+        return (np.clip(np.rint(src_y).astype(np.int64), 0, h - 1),
+                np.clip(np.rint(src_x).astype(np.int64), 0, w - 1))
+
+    ys, xs = np.indices((h, w))
+    if shift is not None:
+        ys, xs = nearest(ys - shift[0], xs - shift[1])
+    if theta is not None:
+        cy, cx = (h - 1) / 2.0, (w - 1) / 2.0
+        oy, ox = ys - cy, xs - cx
+        ys, xs = nearest(cy - np.sin(theta) * ox + np.cos(theta) * oy,
+                         cx + np.cos(theta) * ox + np.sin(theta) * oy)
+    if flip_y:
+        ys = h - 1 - ys
+    if flip_x:
+        xs = w - 1 - xs
+    return RasterImage(w, h, img.as_array()[ys, xs].tobytes())

@@ -6,9 +6,8 @@ from hypothesis import strategies as st
 from synth_data import from_float, solid_image
 
 from defectnet.data import (AugmentParams, LabeledDataset, RasterImage, augment,
-                            decode_ppm, encode_ppm, hflip, image_from_tensor,
-                            image_to_tensor, load_dataset, rotate_nearest,
-                            slice_image, split, vflip)
+                            decode_ppm, encode_ppm, image_from_tensor, image_to_tensor,
+                            load_dataset, slice_image, split)
 from defectnet.errors import DatasetError, PpmParseError
 from defectnet.labels import LABEL_NAMES
 
@@ -198,6 +197,25 @@ class TestSplit:
         assert sorted(train.items + val.items, key=key) == sorted(ds.items, key=key)
 
 
+class FixedDraw:
+    """Stand-in for the augmentation draw: every random() and uniform() call
+    returns the same value."""
+
+    def __init__(self, random=0.0, uniform=0.0):
+        self._random, self._uniform = random, uniform
+
+    def random(self):
+        return self._random
+
+    def uniform(self, low, high):
+        return self._uniform
+
+
+def rotation_only(max_deg):
+    return AugmentParams(rotation_max_deg=max_deg, shift_max_frac=0,
+                         allow_hflip=False, allow_vflip=False)
+
+
 class TestAugment:
     def _checker(self):
         a = np.zeros((2, 2, 3))
@@ -216,24 +234,29 @@ class TestAugment:
 
     def test_hflip_involution(self):
         img = self._checker()
-        assert hflip(hflip(img)) == img
-        assert vflip(vflip(img)) == img
+        hflip = AugmentParams(rotation_max_deg=0, shift_max_frac=0, allow_vflip=False)
+        vflip = AugmentParams(rotation_max_deg=0, shift_max_frac=0, allow_hflip=False)
+        for p, flipped in ((hflip, img.as_array()[:, ::-1]), (vflip, img.as_array()[::-1])):
+            once = augment(img, p, FixedDraw(random=0.0))
+            assert np.array_equal(once.as_array(), flipped)
+            assert augment(once, p, FixedDraw(random=0.0)) == img
 
     def test_rotation_180_reverses_row_major(self):
         img = self._checker()
-        rot = rotate_nearest(img, 180.0)
+        rot = augment(img, rotation_only(180.0), FixedDraw(uniform=180.0))
         a, b = img.as_array(), rot.as_array()
         assert np.array_equal(b, a[::-1, ::-1])
 
     def test_rotation_90_is_exact_permutation(self):
         img = self._checker()
-        rot = rotate_nearest(img, 90.0)
+        rot = augment(img, rotation_only(90.0), FixedDraw(uniform=90.0))
+        assert rot != img
         assert sorted(rot.as_array().reshape(-1, 3).tolist()) == \
             sorted(img.as_array().reshape(-1, 3).tolist())
 
     def test_shift_replicates_edges(self):
         img = solid_image(4, (10, 20, 30))
-        out = rotate_nearest(img, 33.0)
+        out = augment(img, rotation_only(33.0), FixedDraw(uniform=33.0))
         assert out == img  # solid image is rotation-invariant under edge replication
 
     def test_dimensions_never_change(self):
