@@ -95,7 +95,11 @@ def load_config(path) -> dict:
     p = Path(path)
     if not p.is_file():
         raise ConfigError(f"config file not found: {p}")
-    return parse_config_text(p.read_text(encoding="utf-8"))
+    try:
+        text = p.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config file {p}: {exc}") from None
+    return parse_config_text(text)
 
 
 def _parse_blocks(text: str) -> tuple[tuple[int, int], ...]:
@@ -113,15 +117,15 @@ def _parse_blocks(text: str) -> tuple[tuple[int, int], ...]:
 
 
 def arch_from_config(cfg: dict) -> ArchSpec:
-    head = GapHead() if cfg["head"] == "gap" else None
+    if cfg["head"] not in ("gap", "fc"):
+        raise ConfigError(f"unknown head kind {cfg['head']!r}; use gap or fc")
+    head = GapHead()
     if cfg["head"] == "fc":
         try:
-            widths = tuple(int(w) for w in cfg["fc_widths"].split(","))
+            head = FcHead(tuple(int(w) for w in cfg["fc_widths"].split(",")))
         except ValueError:
-            raise ConfigError(f"bad fc_widths {cfg['fc_widths']!r}") from None
-        head = FcHead(widths)
-    if head is None:
-        raise ConfigError(f"unknown head kind {cfg['head']!r}; use gap or fc")
+            raise ConfigError(f"bad fc_widths {cfg['fc_widths']!r}; "
+                              "expected positive widths like 4096,4096") from None
     try:
         if cfg["arch"] == "custom":
             if not cfg["custom_blocks"]:
@@ -173,6 +177,9 @@ def load_model(path) -> model_mod.Model:
         spec = model_mod.spec_from_params(params, input_size=_read_meta_input_size(p))
     except ValueError as exc:
         raise ArchiveError(f"cannot reconstruct architecture from {p}: {exc}") from exc
+    if spec.num_classes != len(LABEL_NAMES):
+        raise ArchiveError(f"model in {p} classifies {spec.num_classes} classes, "
+                           f"the labels are {len(LABEL_NAMES)}")
     fresh = build(spec, seed=0)
     return weights_io.load_into(fresh, params, policy="strict")
 
@@ -180,8 +187,8 @@ def load_model(path) -> model_mod.Model:
 def _require_image(path, size: int):
     try:
         img = read_ppm(path)
-    except FileNotFoundError:
-        raise PpmParseError(f"image not found: {path}", offset=0) from None
+    except OSError as exc:
+        raise PpmParseError(f"cannot read image {path}: {exc.strerror}", offset=0) from None
     if (img.width, img.height) != (size, size):
         raise ImageSizeError(
             f"image must be {size}x{size}, got {img.width}x{img.height}"
@@ -192,6 +199,8 @@ def _require_image(path, size: int):
 # --- commands ----------------------------------------------------------------
 
 def cmd_prepare(args) -> int:
+    if args.tile < 1:
+        raise ConfigError(f"--tile must be >= 1, got {args.tile}")
     src = Path(args.src_dir)
     if not src.is_dir():
         raise ConfigError(f"source directory not readable: {src}")
@@ -218,6 +227,8 @@ def _train_settings(cfg: dict) -> tuple[AugmentParams, TrainConfig]:
     """Range-check the training settings, before any file is read."""
     if not 0.0 < cfg["val_fraction"] < 1.0:
         raise ConfigError(f"val_fraction must be in (0,1), got {cfg['val_fraction']}")
+    if cfg["aug_seed"] < 0:
+        raise ConfigError(f"aug_seed must be non-negative, got {cfg['aug_seed']}")
     if cfg["init_policy"] not in weights_io.POLICIES:
         raise ConfigError(f"unknown init_policy {cfg['init_policy']!r}; "
                           f"use {' or '.join(weights_io.POLICIES)}")
@@ -243,11 +254,10 @@ def cmd_train(args) -> int:
     cfg = load_config(args.config)
     aug, tc = _train_settings(cfg)
     spec = arch_from_config(cfg)
-    net = build(spec, seed=cfg["seed"])
-    try:
-        net = set_trainable(net, cfg["freeze_blocks"])
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    if not 0 <= cfg["freeze_blocks"] <= len(spec.blocks):
+        raise ConfigError(f"freeze_blocks must be in 0..{len(spec.blocks)}, "
+                          f"got {cfg['freeze_blocks']}")
+    net = set_trainable(build(spec, seed=cfg["seed"]), cfg["freeze_blocks"])
     if cfg["init_weights"]:
         net = weights_io.load_into(net, _read_archive(Path(cfg["init_weights"])),
                                    cfg["init_policy"])
@@ -307,10 +317,6 @@ def cmd_eval(args) -> int:
         if not args.model or not args.test_dir:
             raise ConfigError("eval needs MODEL and TEST_DIR (or --counts FILE)")
         net = load_model(args.model)
-        if net.spec.num_classes != len(LABEL_NAMES):
-            raise DatasetError(
-                f"model classifies {net.spec.num_classes} classes, dataset has {len(LABEL_NAMES)}"
-            )
         ds = load_dataset(args.test_dir)
         for w in ds.warnings:
             print(f"warning: {w}")
@@ -337,17 +343,16 @@ def cmd_cam(args) -> int:
         raise ConfigError(f"--alpha must be in [0,1], got {args.alpha}")
     if not 0.0 < args.threshold < 1.0:
         raise ConfigError(f"--threshold must be in (0,1), got {args.threshold}")
+    try:
+        class_idx = None if args.cls == "auto" else label_index(args.cls)
+    except ValueError as exc:
+        raise ConfigError(f"--class {exc}") from exc
     net = load_model(args.model)
     head_w = model_mod.gap_head_weights(net)
     img = _require_image(args.image, net.spec.input_size)
     x = image_to_tensor(img)
-    if args.cls == "auto":
+    if class_idx is None:
         class_idx, _ = model_mod.predict(net, x)
-    else:
-        try:
-            class_idx = label_index(args.cls)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
     batch = Tensor._wrap(np.ascontiguousarray(x.array[None]))
     trace = model_mod.forward(net, batch)
     heat = cam_mod.compute_cam(trace, head_w, class_idx,

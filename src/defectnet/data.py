@@ -80,8 +80,9 @@ def _read_header_int(data: bytes, pos: int, what: str) -> tuple[int, int]:
     start = pos
     while pos < len(data) and data[pos : pos + 1].isdigit():
         pos += 1
-    if pos == start:
-        raise PpmParseError(f"expected {what} in PPM header", offset=start)
+    if not 0 < pos - start <= 9 or int(data[start:pos]) == 0:
+        raise PpmParseError(f"expected {what} in PPM header: a positive integer "
+                            "of at most 9 digits", offset=start)
     return int(data[start:pos]), pos
 
 

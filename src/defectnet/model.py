@@ -73,10 +73,10 @@ class ArchSpec:
             raise ValueError("num_classes must be >= 1")
         if self.in_channels < 1:
             raise ValueError("in_channels must be >= 1")
-        if self.input_size % (2 ** len(self.blocks)) != 0:
-            raise ValueError(
-                f"input size {self.input_size} not divisible by 2^{len(self.blocks)} pools"
-            )
+        pools = len(self.blocks)
+        if self.input_size < 2 ** pools or self.input_size % 2 ** pools:
+            raise ValueError(f"input_size {self.input_size} is not a positive size "
+                             f"divisible by 2^{pools} pools")
 
     @property
     def final_filters(self) -> int:
@@ -348,30 +348,35 @@ def spec_from_params(params: dict[str, Tensor], input_size: int | None = None) -
     For GAP-head maps the input size is not encoded in any shape, so it
     defaults to 224 unless given; FC-head maps determine it exactly.
     """
+    def shape(name: str, rank: int) -> tuple[int, ...]:
+        if params[name].rank != rank:
+            raise ValueError(f"{name} has rank {params[name].rank}, expected {rank}")
+        return params[name].shape
+
     blocks: list[tuple[int, int]] = []
     b = 1
     while f"block{b}.conv1.w" in params:
         i = 1
         filters = None
         while f"block{b}.conv{i}.w" in params:
-            filters = params[f"block{b}.conv{i}.w"].shape[0]
+            filters = shape(f"block{b}.conv{i}.w", 4)[0]
             i += 1
         blocks.append((i - 1, filters))
         b += 1
     if not blocks:
         raise ValueError("parameter map contains no convolution blocks")
-    in_channels = params["block1.conv1.w"].shape[1]
+    in_channels = shape("block1.conv1.w", 4)[1]
     if "head.out.w" not in params:
         raise ValueError("parameter map has no classifier head")
-    num_classes = params["head.out.w"].shape[1]
+    num_classes = shape("head.out.w", 2)[1]
     if "head.fc1.w" in params:
         widths = []
         i = 1
         while f"head.fc{i}.w" in params:
-            widths.append(params[f"head.fc{i}.w"].shape[1])
+            widths.append(shape(f"head.fc{i}.w", 2)[1])
             i += 1
         head: Head = FcHead(tuple(widths))
-        flat = params["head.fc1.w"].shape[0]
+        flat = shape("head.fc1.w", 2)[0]
         side = int(round(math.sqrt(flat / blocks[-1][1])))
         size = side * (2 ** len(blocks))
     else:

@@ -38,8 +38,8 @@ class TrainConfig:
         for name in ("batch_size", "steps_per_epoch"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be > 0")
+        if not 0 < self.learning_rate < np.inf:
+            raise ValueError("learning_rate must be finite and > 0")
         if not 0.0 <= self.momentum < 1.0:
             raise ValueError("momentum must be in [0,1)")
         if self.seed < 0:

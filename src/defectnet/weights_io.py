@@ -49,12 +49,20 @@ def write_weights(model: Model, sink: BinaryIO) -> int:
     return written
 
 
-def _read_exact(source: BinaryIO, n: int, context: str) -> bytes:
-    b = source.read(n)
-    if len(b) != n:
-        raise ArchiveError(f"truncated archive while reading {context} "
-                           f"(wanted {n} bytes, got {len(b)})")
-    return b
+_CHUNK = 1 << 24
+
+
+def _read_exact(source: BinaryIO, n: int, context: str) -> bytearray:
+    """Read n bytes in bounded chunks, so that a length field larger than
+    the archive fails as truncation instead of allocating n bytes first."""
+    buf = bytearray()
+    while len(buf) < n:
+        b = source.read(min(n - len(buf), _CHUNK))
+        if not b:
+            raise ArchiveError(f"truncated archive while reading {context} "
+                               f"(wanted {n} bytes, got {len(buf)})")
+        buf += b
+    return buf
 
 
 def read_weights(source: BinaryIO) -> dict[str, Tensor]:
@@ -67,7 +75,10 @@ def read_weights(source: BinaryIO) -> dict[str, Tensor]:
     for i in range(count):
         where = f"entry {i}"
         (name_len,) = struct.unpack("<I", _read_exact(source, 4, f"{where} name length"))
-        name = _read_exact(source, name_len, f"{where} name").decode("utf-8")
+        try:
+            name = _read_exact(source, name_len, f"{where} name").decode("utf-8")
+        except UnicodeDecodeError:
+            raise ArchiveError(f"{where} name is not UTF-8") from None
         where = f"entry {i} ({name!r})"
         if name in params:
             raise ArchiveError(f"duplicate entry name {name!r}")

@@ -46,9 +46,9 @@ def toy_config(tmp_path, data_dir, out_dir, **overrides):
         "out_dir": str(out_dir),
     }
     cfg.update(overrides)
-    text = "\n".join(f"{k} = {v}" for k, v in cfg.items())
     path = tmp_path / "run.cfg"
-    path.write_text(text + "\n")
+    path.write_bytes(b"".join(f"{k} = ".encode() + (v if isinstance(v, bytes) else str(v).encode())
+                              + b"\n" for k, v in cfg.items()))
     return path
 
 
@@ -124,6 +124,16 @@ class TestPrepare:
         rc = main(["prepare", str(tmp_path / "absent"), str(tmp_path / "out")])
         assert rc == 2
 
+    @pytest.mark.parametrize("tile", ["0", "-3"])
+    def test_non_positive_tile_exit_2_before_reading(self, tmp_path, capsys, tile):
+        src = tmp_path / "src"
+        (src / "mould").mkdir(parents=True)
+        (src / "mould" / "a.ppm").write_bytes(encode_ppm(solid_image(8, (5, 5, 5))))
+        assert main(["prepare", str(src), str(tmp_path / "out"), "--tile", tile]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: --tile ") and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
 
 class TestTrain:
     def test_writes_outputs_with_epoch_rows(self, tmp_path, capsys):
@@ -185,6 +195,11 @@ class TestTrain:
         {"aug_seed": -1},
         {"init_policy": "lenient", "init_weights": "absent.dnw"},
         {"freeze_blocks": 5, "init_weights": "absent.dnw"},
+        {"fc_widths": 0, "head": "fc"},
+        {"input_size": 0},
+        pytest.param({"learning_rate": "nan"}, id="learning_rate-nan"),
+        pytest.param({"learning_rate": "inf"}, id="learning_rate-inf"),
+        pytest.param({"arch": b"custom\xff"}, id="not-utf8"),
     ], ids=lambda o: next(iter(o)))
     def test_bad_setting_exit_2_before_any_io(self, tmp_path, capsys, override):
         # data_dir and init_weights are absent: a check made after IO exits 3
@@ -192,6 +207,9 @@ class TestTrain:
         assert main(["train", "--config", str(cfg)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and err.count("\n") == 1
+        key, value = next(iter(override.items()))
+        if not isinstance(value, bytes):  # an undecodable file has no key to name
+            assert f"{key} " in err
 
 
 class TestEval:
@@ -381,6 +399,7 @@ class TestCam:
 
     @pytest.mark.parametrize("flag, value", [
         ("--alpha", "2"), ("--alpha", "-0.1"), ("--threshold", "0"), ("--threshold", "1.5"),
+        ("--class", "rust"),
     ])
     def test_out_of_range_option_exit_2_before_loading(self, tmp_path, capsys, flag, value):
         img = tmp_path / "in.ppm"

@@ -262,6 +262,13 @@ class TestSpecFromParams:
         got = spec_from_params(m.params)
         assert got == spec
 
+    @pytest.mark.parametrize("name", ["block1.conv1.w", "head.fc1.w", "head.out.w"])
+    def test_wrong_rank_is_value_error(self, name):
+        m = build(ArchSpec(((1, 4),), FcHead((8,)), num_classes=4, input_size=8), seed=0)
+        params = dict(m.params, **{name: Tensor(np.zeros(4, np.float32))})
+        with pytest.raises(ValueError, match=f"{name} has rank 1"):
+            spec_from_params(params)
+
 
 class TestLossAndGradients:
     def test_gradients_cover_every_parameter(self):

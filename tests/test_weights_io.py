@@ -83,6 +83,26 @@ class TestReadErrors:
         with pytest.raises(ArchiveError, match="duplicate.*'w'"):
             read_weights(io.BytesIO(raw))
 
+    def test_undecodable_name(self):
+        raw = b"DNW1" + b"\x01\x00\x00\x00" + b"\x02\x00\x00\x00" + b"\xff\xfe"
+        with pytest.raises(ArchiveError, match="entry 0 name is not UTF-8"):
+            read_weights(io.BytesIO(raw))
+
+    @pytest.mark.parametrize("field, tail", [
+        ("name", b"\xff\xff\xff\x7f"),
+        ("dims", b"\x01\x00\x00\x00a" + b"\xff\xff\xff\x3f"),
+        ("payload", b"\x01\x00\x00\x00a" + b"\x02\x00\x00\x00" + b"\xa0\x86\x01\x00" * 2),
+    ])
+    def test_oversized_length_is_truncation_not_allocation(self, field, tail):
+        class CappedReads(io.BytesIO):
+            def read(self, n=-1):
+                assert 0 <= n <= 1 << 24, f"asked for {n} bytes at once"
+                return super().read(n)
+
+        # a 25-byte archive declaring a 100000 x 100000 entry, and kin
+        with pytest.raises(ArchiveError, match=f"truncated.*{field}"):
+            read_weights(CappedReads(b"DNW1" + b"\x01\x00\x00\x00" + tail))
+
 
 class TestRoundTrip:
     def test_paper_vgg16_bitwise(self):
