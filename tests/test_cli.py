@@ -47,8 +47,9 @@ def toy_config(tmp_path, data_dir, out_dir, **overrides):
     }
     cfg.update(overrides)
     path = tmp_path / "run.cfg"
-    path.write_bytes(b"".join(f"{k} = ".encode() + (v if isinstance(v, bytes) else str(v).encode())
-                              + b"\n" for k, v in cfg.items()))
+    lines = [f"{k} = ".encode() + (v if isinstance(v, bytes) else str(v).encode())
+             for k, v in cfg.items()]
+    path.write_bytes(b"\n".join(lines) + b"\n")
     return path
 
 

@@ -27,7 +27,7 @@ def run(argv) -> int:
         rc = main(argv)
     text = err.getvalue()
     assert rc in (0, 2, 3, 4, 5), (rc, text)
-    assert text.count("\n") <= 1 and "Traceback" not in text, text
+    assert text.count("\n") <= 1, text
     return rc
 
 
@@ -58,7 +58,7 @@ def dnw(*entries) -> bytes:
 
 def archive(num_classes=4) -> bytes:
     buf = io.BytesIO()
-    write_weights(build(ArchSpec(((1, 4),), GapHead(), num_classes, input_size=16), 0), buf)
+    write_weights(build(ArchSpec(((1, 4),), GapHead(), num_classes, input_size=SIZE), 0), buf)
     return buf.getvalue()
 
 
@@ -72,7 +72,6 @@ CONFIG = {"arch": "custom", "custom_blocks": "1x4", "input_size": SIZE, "fc_widt
 VALUES = st.one_of(st.text(st.characters(blacklist_categories=("Cs",)), max_size=10),
                    st.integers(max_value=-1).map(str),
                    st.sampled_from(["nan", "inf", "-inf", "1e400", "0", "-0.0", "true"]))
-CONV = np.zeros((4, 3, 3, 3))
 
 
 @pytest.fixture(scope="module")
@@ -125,7 +124,7 @@ def test_ppm_headers(work, ppm):
 @given(model=mutations(MODEL))
 @example(model=dnw((b"\xff\xfe", np.zeros(1))))
 @example(model=dnw((b"block1.conv1.w", np.zeros(4)), (b"head.out.w", np.zeros((4, 4)))))
-@example(model=dnw((b"block1.conv1.w", CONV), (b"head.out.w", np.zeros(4))))
+@example(model=dnw((b"block1.conv1.w", np.zeros((4, 3, 3, 3))), (b"head.out.w", np.zeros(4))))
 @example(model=b"DNW1" + struct.pack("<II", 1, 1) + b"a" + struct.pack("<III", 2, 10 ** 5, 10 ** 5))
 @example(model=archive(num_classes=3))
 def test_dnw_archives(work, model):
