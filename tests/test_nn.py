@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from gradcheck import assert_grad_close, central_diff
+import im2col_ref
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from naive_ops import (naive_conv2d, naive_dense, naive_gap,
@@ -118,6 +119,46 @@ class TestConvBackward:
         assert_grad_close(g.d_input.array, central_diff(f, xv), "conv d_input")
         assert_grad_close(g.d_params["weights"].array, central_diff(f, wv), "conv d_weights")
         assert_grad_close(g.d_params["bias"].array, central_diff(f, bv), "conv d_bias")
+
+
+# The CONV_CASES space (batch 1-3, stride 1/2, padding 0-2, kernels 1/3/5,
+# h != w), widened in channels and sides so that patch matrices of many
+# bands occur beside tiny ones.
+SIDES = st.one_of(st.integers(1, 13), st.sampled_from([8, 16, 20, 32]))
+CHANNELS = st.sampled_from([1, 2, 3, 16, 32])
+BANDED_SHAPES = st.tuples(
+    st.integers(1, 3), CHANNELS, CHANNELS, SIDES, SIDES, st.sampled_from([1, 3, 5]),
+    st.sampled_from([1, 2]), st.sampled_from([0, 1, 2]),
+).filter(lambda s: s[3] != s[4] and min(s[3], s[4]) + 2 * s[7] >= s[5])
+
+
+def conv_both_ways(case, seed, chunk_bytes=None):
+    """(banded, reference) results of forward and backward on one case."""
+    x, w, b, r = conv_case(seed, *case)
+    stride, pad = case[-2:]
+    p = nn.ConvParams(t32(w), t32(b), stride=stride, padding=pad)
+    with pytest.MonkeyPatch.context() as mp:
+        if chunk_bytes is not None:
+            mp.setattr(nn, "CHUNK_BYTES", chunk_bytes, raising=False)
+        got = nn.conv2d_forward(t32(x), p), nn.conv2d_backward(t32(x), p, t32(r))
+    want = im2col_ref.conv2d_forward(t32(x), p), im2col_ref.conv2d_backward(t32(x), p, t32(r))
+    return got, want
+
+
+def conv_bytes(out, grads):
+    return [out.array.tobytes(), grads.d_input.array.tobytes(),
+            grads.d_params["weights"].array.tobytes(), grads.d_params["bias"].array.tobytes()]
+
+
+class TestConvMatchesWholeMatrixReference:
+    """The banded kernels keep the bits of one whole patch matrix per GEMM."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(case=BANDED_SHAPES, chunk_bytes=st.sampled_from([None, 2048, 8192]),
+           seed=st.integers(0, 2 ** 16))
+    def test_bit_identical(self, case, chunk_bytes, seed):
+        got, want = conv_both_ways(case, seed, chunk_bytes)
+        assert conv_bytes(*got) == conv_bytes(*want)
 
 
 class TestMaxPool:
