@@ -5,11 +5,12 @@ Every operation is a pure function; backward passes take the original
 forward inputs explicitly instead of relying on hidden layer state. The
 layer objects of model.layers call these functions and keep those
 inputs as their ctx. Convolution runs as im2col + matmul (the naive
-sliding-window loop is kept as an oracle in the test suite): each
-direction builds one float64 patch matrix [C*kh*kw x N*oh*ow], rows in
-(c, i, j) and columns in (n, y, x) order, written straight from a padded
-(C, N, H, W) copy of the input, and multiplies W @ cols, so no float32
-staging copy or transpose of the patch matrix is ever made.
+sliding-window loop is kept as an oracle in the test suite) over the
+float64 patch matrix [C*kh*kw x N*oh*ow], rows in (c, i, j) and columns
+in (n, y, x) order, written straight from a padded (C, N, H, W) copy of
+the input. No call holds the whole matrix: each GEMM runs over bands of
+it of about CHUNK_BYTES (see _bands), and every band keeps the bits of
+the one whole product.
 """
 
 from __future__ import annotations
@@ -75,28 +76,110 @@ def _conv_geometry(x_shape, p: ConvParams):
     return n, c, h, w, out_ch, kh, kw, oh, ow
 
 
-def _im2col(x: np.ndarray, kh, kw, stride, pad, oh, ow) -> np.ndarray:
-    """float64 patch matrix [C*kh*kw x N*oh*ow]: rows (c, i, j), columns (n, y, x)."""
+CHUNK_BYTES = 8 << 20
+"""Cap on one band of a float64 patch matrix, in bytes."""
+
+# A band's product keeps the bits of the whole product only where each of
+# its columns meets the same OpenBLAS dgemm micro-kernel as in the whole.
+# So bands start at multiples of the micro-kernel width (4, 8 or 16 on
+# x86-64), a product whose band dimension ends in a partial micro-panel is
+# never split (the kernel of that tail depends on the blocking around it),
+# and no band falls to the M*N*K at or below which OpenBLAS switches to a
+# separate small-matrix kernel.
+_BAND_ALIGN = 16
+_SMALL_GEMM = 100 ** 3
+
+
+def _bands(length: int, line_bytes: int, other: int) -> list[tuple[int, int]]:
+    """Split the output columns [0, length) of one GEMM into near-equal bands.
+
+    line_bytes is the float64 operand size of one column and other the
+    product of the GEMM's two other dimensions. Each band holds at most
+    CHUNK_BYTES of operand, unless the small-matrix limit asks for more.
+    """
+    if length % _BAND_ALIGN:
+        return [(0, length)]
+    units = length // _BAND_ALIGN
+    cap_units = max(1, CHUNK_BYTES // (line_bytes * _BAND_ALIGN))
+    min_units = _SMALL_GEMM // (other * _BAND_ALIGN) + 1
+    count = max(1, min(-(-units // cap_units), units // min_units))
+    q, r = divmod(units, count)
+    edges = [0]
+    for b in range(count):
+        edges.append(edges[-1] + (q + (b < r)) * _BAND_ALIGN)
+    return list(zip(edges[:-1], edges[1:]))
+
+
+def _boxes(m0: int, m1: int, oh: int, ow: int) -> list[tuple[int, tuple[int, ...]]]:
+    """Cover patch columns [m0, m1), in (n, y, x) order, with boxes
+    (offset in the band, (n0, n1, y0, y1, x0, x1)): each box is a run of
+    whole images, of whole rows of one image, or part of one row."""
+    boxes = []
+    m = m0
+    while m < m1:
+        left = m1 - m
+        n, rest = divmod(m, oh * ow)
+        y, x = divmod(rest, ow)
+        if x or left < ow:
+            images, rows, cols = 1, 1, min(ow - x, left)
+        elif y or left < oh * ow:
+            images, rows, cols = 1, min(oh - y, left // ow), ow
+        else:
+            images, rows, cols = left // (oh * ow), oh, ow
+        boxes.append((m - m0, (n, n + images, y, y + rows, x, x + cols)))
+        m += images * rows * cols
+    return boxes
+
+
+def _taps(x_pad: np.ndarray, i: int, j: int, stride: int, box) -> np.ndarray:
+    """View of the padded (C, N, H, W) input that tap (i, j) reads for a box."""
+    n0, n1, y0, y1, x0, x1 = box
+    return x_pad[:, n0:n1, i + stride * y0 : i + stride * y1 : stride,
+                 j + stride * x0 : j + stride * x1 : stride]
+
+
+def _band_view(band: np.ndarray, off: int, box) -> np.ndarray:
+    """A box's columns of a [rows x width] band, shaped (rows, n, y, x)."""
+    n0, n1, y0, y1, x0, x1 = box
+    return band[:, off : off + (n1 - n0) * (y1 - y0) * (x1 - x0)].reshape(
+        band.shape[0], n1 - n0, y1 - y0, x1 - x0)
+
+
+def _padded(x: np.ndarray, pad: int) -> np.ndarray:
+    """float32 (C, N, H + 2*pad, W + 2*pad) zero-padded copy of an NCHW batch."""
     n, c, h, w = x.shape
     xp = np.zeros((c, n, h + 2 * pad, w + 2 * pad), dtype=np.float32)
     xp[:, :, pad : pad + h, pad : pad + w] = x.transpose(1, 0, 2, 3)
-    cols = np.empty((c, kh, kw, n, oh, ow), dtype=np.float64)
-    for i in range(kh):
-        for j in range(kw):
-            cols[:, i, j] = xp[:, :, i : i + stride * oh : stride, j : j + stride * ow : stride]
-    return cols.reshape(c * kh * kw, n * oh * ow)
+    return xp
 
 
-def _col2im(d_cols: np.ndarray, x_shape, kh, kw, stride, pad, oh, ow) -> np.ndarray:
-    """Adjoint of _im2col: scatter-add [C*kh*kw x N*oh*ow] back to NCHW float32."""
-    n, c, h, w = x_shape
-    dxp = np.zeros((c, n, h + 2 * pad, w + 2 * pad), dtype=np.float64)
-    dc = d_cols.reshape(c, kh, kw, n, oh, ow)
+def _band_buffer(bands, line: int) -> np.ndarray:
+    """One float64 buffer for the widest band, reused by every band of a call."""
+    return np.empty(line * max(b - a for a, b in bands), dtype=np.float64)
+
+
+def _patch_columns(buf: np.ndarray, xp: np.ndarray, kh, kw, stride, boxes, width) -> np.ndarray:
+    """The boxes' columns of the float64 patch matrix [C*kh*kw x N*oh*ow], built in buf."""
+    c = xp.shape[0]
+    cols = buf[: c * kh * kw * width].reshape(c, kh, kw, width)
     for i in range(kh):
         for j in range(kw):
-            dxp[:, :, i : i + stride * oh : stride, j : j + stride * ow : stride] += dc[:, i, j]
-    dx = dxp[:, :, pad : pad + h, pad : pad + w].transpose(1, 0, 2, 3)
-    return np.ascontiguousarray(dx, dtype=np.float32)
+            for off, box in boxes:
+                _band_view(cols[:, i, j], off, box)[...] = _taps(xp, i, j, stride, box)
+    return cols.reshape(c * kh * kw, width)
+
+
+def _patch_rows(buf: np.ndarray, xp: np.ndarray, kh, kw, stride, r0, r1, oh, ow) -> np.ndarray:
+    """Rows [r0, r1) of the float64 patch matrix [C*kh*kw x N*oh*ow], built in buf."""
+    taps = kh * kw
+    rows = buf[: (r1 - r0) * xp.shape[1] * oh * ow].reshape(r1 - r0, xp.shape[1], oh, ow)
+    whole = (0, xp.shape[1], 0, oh, 0, ow)
+    for t in range(taps):
+        c0 = max(0, -(-(r0 - t) // taps))  # channels c with r0 <= c*taps + t < r1
+        c1 = -(-(r1 - t) // taps)
+        if c0 < c1:
+            rows[c0 * taps + t - r0 :: taps] = _taps(xp[c0:c1], *divmod(t, kw), stride, whole)
+    return rows.reshape(r1 - r0, -1)
 
 
 def conv2d_forward(x: Tensor, p: ConvParams) -> Tensor:
@@ -106,9 +189,20 @@ def conv2d_forward(x: Tensor, p: ConvParams) -> Tensor:
     input[n,c,y*s+i-pad,x*s+j-pad] * w[o,c,i,j], zero outside bounds.
     """
     n, c, h, w, out_ch, kh, kw, oh, ow = _conv_geometry(x.shape, p)
-    cols = _im2col(x.array, kh, kw, p.stride, p.padding, oh, ow)
-    out = _mm64(p.weights.array.reshape(out_ch, -1), cols) + p.bias.array[:, None]
-    return Tensor._wrap(np.ascontiguousarray(out.reshape(out_ch, n, oh, ow).transpose(1, 0, 2, 3)))
+    xp = _padded(x.array, p.padding)
+    w64 = p.weights.array.reshape(out_ch, -1).astype(np.float64)
+    k = c * kh * kw
+    out = np.empty((n, out_ch, oh, ow), dtype=np.float32)
+    bands = _bands(n * oh * ow, 8 * k, out_ch * k)
+    buf = _band_buffer(bands, k)
+    for m0, m1 in bands:
+        boxes = _boxes(m0, m1, oh, ow)
+        cols = _patch_columns(buf, xp, kh, kw, p.stride, boxes, m1 - m0)
+        band = _mm64(w64, cols) + p.bias.array[:, None]
+        for off, box in boxes:
+            n0, n1, y0, y1, x0, x1 = box
+            out[n0:n1, :, y0:y1, x0:x1] = _band_view(band, off, box).transpose(1, 0, 2, 3)
+    return Tensor._wrap(out)
 
 
 def conv2d_backward(x: Tensor, p: ConvParams, d_out: Tensor) -> LayerGradients:
@@ -116,16 +210,37 @@ def conv2d_backward(x: Tensor, p: ConvParams, d_out: Tensor) -> LayerGradients:
     n, c, h, w, out_ch, kh, kw, oh, ow = _conv_geometry(x.shape, p)
     if d_out.shape != (n, out_ch, oh, ow):
         raise ShapeError(f"d_out shape {d_out.shape} != forward output ({n}, {out_ch}, {oh}, {ow})")
-    cols = _im2col(x.array, kh, kw, p.stride, p.padding, oh, ow)
-    d_mat = np.ascontiguousarray(d_out.array.transpose(1, 0, 2, 3), dtype=np.float64).reshape(out_ch, -1)
+    k, m, s, pad = c * kh * kw, n * oh * ow, p.stride, p.padding
+    d_mat = np.ascontiguousarray(d_out.array.transpose(1, 0, 2, 3), dtype=np.float64).reshape(out_ch, m)
     d_bias = np.sum(d_out.array, axis=(0, 2, 3), dtype=np.float64).astype(np.float32)
-    d_w = _mm64(d_mat, cols.T).reshape(out_ch, c, kh, kw)
-    del cols
-    d_cols = _mm64(p.weights.array.reshape(out_ch, -1).T, d_mat)
-    d_input = _col2im(d_cols, x.shape, kh, kw, p.stride, p.padding, oh, ow)
+
+    # d_w, a band of patch rows at a time; the inner dimension m is never split.
+    xp = _padded(x.array, pad)
+    d_w = np.empty((out_ch, k), dtype=np.float32)
+    bands = _bands(k, 8 * m, out_ch * m)
+    buf = _band_buffer(bands, m)
+    for r0, r1 in bands:
+        d_w[:, r0:r1] = _mm64(d_mat, _patch_rows(buf, xp, kh, kw, s, r0, r1, oh, ow).T)
+    del xp, buf
+
+    # d_input: scatter-add W.T @ d_mat band by band into a float64 padded
+    # buffer. Bands run in descending column order, so every element gets
+    # its (i, j) terms in ascending (i, j) order, as one whole product would.
+    wt64 = p.weights.array.reshape(out_ch, k).T.astype(np.float64)
+    dxp = np.zeros((c, n, h + 2 * pad, w + 2 * pad), dtype=np.float64)
+    for m0, m1 in reversed(_bands(m, 8 * k, out_ch * k)):
+        d_cols = _mm64(wt64, d_mat[:, m0:m1]).reshape(c, kh, kw, m1 - m0)
+        boxes = _boxes(m0, m1, oh, ow)
+        for i in range(kh):
+            for j in range(kw):
+                for off, box in boxes:
+                    _taps(dxp, i, j, s, box)[...] += _band_view(d_cols[:, i, j], off, box)
+    d_input = np.ascontiguousarray(
+        dxp[:, :, pad : pad + h, pad : pad + w].transpose(1, 0, 2, 3), dtype=np.float32)
     return LayerGradients(
         d_input=Tensor._wrap(d_input),
-        d_params={"weights": Tensor._wrap(d_w), "bias": Tensor._wrap(d_bias)},
+        d_params={"weights": Tensor._wrap(d_w.reshape(out_ch, c, kh, kw)),
+                  "bias": Tensor._wrap(d_bias)},
     )
 
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from gradcheck import assert_grad_close, central_diff
@@ -9,7 +11,7 @@ from naive_ops import (naive_conv2d, naive_dense, naive_gap,
 
 from defectnet import nn
 from defectnet.errors import ShapeError
-from defectnet.tensor import Tensor
+from defectnet.tensor import Tensor, _mm64
 
 
 def t32(a):
@@ -159,6 +161,41 @@ class TestConvMatchesWholeMatrixReference:
     def test_bit_identical(self, case, chunk_bytes, seed):
         got, want = conv_both_ways(case, seed, chunk_bytes)
         assert conv_bytes(*got) == conv_bytes(*want)
+
+    def test_small_cap_splits_every_gemm(self, monkeypatch):
+        """A case whose three GEMMs all split into several bands under a 2 KB cap."""
+        widths = []
+
+        def counting_mm64(a, b):
+            widths.append(b.shape[1])
+            return _mm64(a, b)
+
+        monkeypatch.setattr(nn, "_mm64", counting_mm64)
+        got, want = conv_both_ways((2, 32, 32, 16, 20, 3, 1, 1), seed=7, chunk_bytes=2048)
+        assert conv_bytes(*got) == conv_bytes(*want)
+        # forward bands, then d_w row bands, then d_input bands (2 * 16 * 20 columns)
+        assert len(widths) >= 9 and sum(widths) == 640 + 288 + 640
+        assert max(widths) < 288
+
+
+def test_conv_peak_allocation_is_a_fraction_of_the_patch_matrix(monkeypatch):
+    """With a 64 KB band cap, neither direction allocates a quarter of the
+    float64 patch matrix. The whole-size buffers of the backward pass (the
+    float64 d_out matrix and the float64 d_input accumulator) are O/(C*k*k)
+    and about 1/(k*k) of it, hence a 5x5 kernel."""
+    monkeypatch.setattr(nn, "CHUNK_BYTES", 64 << 10, raising=False)
+    x, w, b, r = conv_case(0, 2, 16, 16, 96, 96, 5, 1, 2)
+    p = nn.ConvParams(t32(w), t32(b), padding=2)
+    x, r = t32(x), t32(r)
+    patch_bytes = 16 * 5 * 5 * 2 * 96 * 96 * 8
+    for run in (lambda: nn.conv2d_forward(x, p), lambda: nn.conv2d_backward(x, p, r)):
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < patch_bytes / 4
 
 
 class TestMaxPool:
