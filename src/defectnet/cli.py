@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -184,6 +185,27 @@ def load_model(path) -> model_mod.Model:
     return weights_io.load_into(fresh, params, policy="strict")
 
 
+def _check_output_file(path) -> None:
+    """Reject an output file path that is a directory, before any work."""
+    if Path(path).is_dir():
+        raise ConfigError(f"cannot write {path}: it is a directory")
+
+
+def _check_output_dir(path) -> None:
+    """Reject an output directory path that names an existing non-directory."""
+    if Path(path).exists() and not Path(path).is_dir():
+        raise ConfigError(f"cannot write into {path}: it is not a directory")
+
+
+@contextmanager
+def _writing(path):
+    """Turn an OSError raised while writing an output into a ConfigError naming it."""
+    try:
+        yield path
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from None
+
+
 def _require_image(path, size: int):
     try:
         img = read_ppm(path)
@@ -205,15 +227,18 @@ def cmd_prepare(args) -> int:
     if not src.is_dir():
         raise ConfigError(f"source directory not readable: {src}")
     out = Path(args.out_dir)
+    _check_output_dir(out)
     total = 0
     for name in LABEL_NAMES:
         count = 0
         files = sorted((src / name).rglob("*.ppm")) if (src / name).is_dir() else []
-        (out / name).mkdir(parents=True, exist_ok=True)
+        with _writing(out / name) as path:
+            path.mkdir(parents=True, exist_ok=True)
         for f in files:
             img = read_ppm(f)
             for i, tile in enumerate(slice_image(img, args.tile)):
-                write_ppm(out / name / f"{f.stem}_t{i}.ppm", tile)
+                with _writing(out / name / f"{f.stem}_t{i}.ppm") as path:
+                    write_ppm(path, tile)
                 count += 1
         if count == 0:
             print(f"warning: no tiles for class {name!r}")
@@ -257,7 +282,14 @@ def cmd_train(args) -> int:
     if not 0 <= cfg["freeze_blocks"] <= len(spec.blocks):
         raise ConfigError(f"freeze_blocks must be in 0..{len(spec.blocks)}, "
                           f"got {cfg['freeze_blocks']}")
-    net = set_trainable(build(spec, seed=cfg["seed"]), cfg["freeze_blocks"])
+    out = Path(cfg["out_dir"])
+    _check_output_dir(out)
+    try:
+        net = build(spec, seed=cfg["seed"])
+    except MemoryError:
+        raise ConfigError("the architecture of custom_blocks, fc_widths and input_size "
+                          "does not fit in memory") from None
+    net = set_trainable(net, cfg["freeze_blocks"])
     if cfg["init_weights"]:
         net = weights_io.load_into(net, _read_archive(Path(cfg["init_weights"])),
                                    cfg["init_policy"])
@@ -266,12 +298,14 @@ def cmd_train(args) -> int:
         print(f"warning: {w}")
     train_ds, val_ds = split(ds, cfg["val_fraction"], cfg["seed"])
     net, history = train(net, train_ds, val_ds, aug, tc)
-    out = Path(cfg["out_dir"])
-    out.mkdir(parents=True, exist_ok=True)
-    with open(out / "model.dnw", "wb") as fh:
+    with _writing(out) as path:
+        path.mkdir(parents=True, exist_ok=True)
+    with _writing(out / "model.dnw") as path, open(path, "wb") as fh:
         nbytes = weights_io.write_weights(net, fh)
-    (out / "history.csv").write_text(history.to_csv(), encoding="utf-8")
-    write_run_meta(out / "run.meta", cfg, net)
+    with _writing(out / "history.csv") as path:
+        path.write_text(history.to_csv(), encoding="utf-8")
+    with _writing(out / "run.meta") as path:
+        write_run_meta(path, cfg, net)
     if history.epochs:
         last = history.epochs[-1]
         print(f"trained {len(history)} epochs; final train_acc={last.train_acc:.4f} "
@@ -311,6 +345,7 @@ def _write_counts_csv(path, cm: metrics.ConfusionMatrix) -> None:
 
 
 def cmd_eval(args) -> int:
+    _check_output_file(args.out_csv)
     if args.counts:
         cm = _read_counts_csv(args.counts)
     else:
@@ -323,7 +358,8 @@ def cmd_eval(args) -> int:
         cm = evaluate(net, ds)
     rep = metrics.report(cm)
     sys.stdout.write(metrics.render_text(rep))
-    _write_counts_csv(args.out_csv, cm)
+    with _writing(args.out_csv) as path:
+        _write_counts_csv(path, cm)
     print(f"wrote {args.out_csv}")
     return 0
 
@@ -347,6 +383,7 @@ def cmd_cam(args) -> int:
         class_idx = None if args.cls == "auto" else label_index(args.cls)
     except ValueError as exc:
         raise ConfigError(f"--class {exc}") from exc
+    _check_output_file(args.out)
     net = load_model(args.model)
     head_w = model_mod.gap_head_weights(net)
     img = _require_image(args.image, net.spec.input_size)
@@ -360,7 +397,8 @@ def cmd_cam(args) -> int:
     region = cam_mod.bounding_region(heat, args.threshold) if not heat.degenerate else None
     up = cam_mod.upsample(heat, (img.height, img.width))
     blended = cam_mod.overlay(up, x, args.alpha)
-    write_ppm(args.out, image_from_tensor(blended))
+    with _writing(args.out) as path:
+        write_ppm(path, image_from_tensor(blended))
     if region is None:
         print("none")
     else:

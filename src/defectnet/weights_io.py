@@ -93,6 +93,8 @@ def read_weights(source: BinaryIO) -> dict[str, Tensor]:
             n_elem *= d
         payload = _read_exact(source, 4 * n_elem, f"{where} payload")
         a = np.frombuffer(payload, dtype="<f4").astype(np.float32).reshape(dims)
+        if not np.isfinite(a).all():
+            raise ArchiveError(f"{where} holds non-finite values")
         params[name] = Tensor._wrap(np.ascontiguousarray(a))
     return params
 

@@ -135,6 +135,16 @@ class TestPrepare:
         assert err.startswith("config error: --tile ") and err.count("\n") == 1
         assert not (tmp_path / "out").exists()
 
+    def test_output_is_a_file_exit_2_before_reading(self, tmp_path, capsys):
+        src = tmp_path / "src"
+        (src / "mould").mkdir(parents=True)
+        (src / "mould" / "a.ppm").write_bytes(b"not a ppm")  # exit 4 if it were read
+        out = tmp_path / "out"
+        out.write_text("a file")
+        assert main(["prepare", str(src), str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and str(out) in err and err.count("\n") == 1
+
 
 class TestTrain:
     def test_writes_outputs_with_epoch_rows(self, tmp_path, capsys):
@@ -201,6 +211,7 @@ class TestTrain:
         pytest.param({"learning_rate": "nan"}, id="learning_rate-nan"),
         pytest.param({"learning_rate": "inf"}, id="learning_rate-inf"),
         pytest.param({"arch": b"custom\xff"}, id="not-utf8"),
+        pytest.param({"fc_widths": 100000000000, "head": "fc"}, id="fc_widths-huge"),
     ], ids=lambda o: next(iter(o)))
     def test_bad_setting_exit_2_before_any_io(self, tmp_path, capsys, override):
         # data_dir and init_weights are absent: a check made after IO exits 3
@@ -211,6 +222,15 @@ class TestTrain:
         key, value = next(iter(override.items()))
         if not isinstance(value, bytes):  # an undecodable file has no key to name
             assert f"{key} " in err
+
+
+    def test_out_dir_is_a_file_exit_2_before_any_io(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        out.write_text("a file")
+        cfg = toy_config(tmp_path, tmp_path / "absent", out)
+        assert main(["train", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and str(out) in err and err.count("\n") == 1
 
 
 class TestEval:
@@ -303,6 +323,14 @@ class TestEval:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not out_csv.exists()
 
+    def test_out_csv_directory_exit_2_before_reading(self, tmp_path, capsys):
+        # the counts file is absent: reading it first would exit 3
+        argv = ["eval", "--counts", str(tmp_path / "absent.csv"), "--out-csv", str(tmp_path)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and str(tmp_path) in err
+        assert err.count("\n") == 1
+
 
 class TestPredict:
     def test_zero_model_uniform_probs(self, zero224, tmp_path, capsys):
@@ -330,6 +358,24 @@ class TestPredict:
         img.write_bytes(encode_ppm(solid_image(8, (1, 2, 3))))
         assert main(["predict", str(zero224), str(img)]) == 4
         assert "224x224" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["predict", "cam"])
+    def test_non_finite_archive_exit_3(self, tmp_path, capsys, command):
+        from dataclasses import replace
+        m = zero_model(ArchSpec(((1, 4),), GapHead(), num_classes=4, input_size=16))
+        w = np.zeros((4, 3, 3, 3), dtype=np.float32)
+        w[0, 0, 0, 0] = np.nan
+        model = tmp_path / "model.dnw"
+        write_model(model, replace(m, params={**m.params, "block1.conv1.w": Tensor(w)}),
+                    input_size=16)
+        img = tmp_path / "in.ppm"
+        img.write_bytes(encode_ppm(solid_image(16, (9, 9, 9))))
+        argv = [command, str(model), str(img)] + ([str(tmp_path / "o.ppm")] if command == "cam" else [])
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "block1.conv1.w" in captured.err
+        assert captured.err.count("\n") == 1
 
     def test_missing_model_exit_3(self, tmp_path):
         img = tmp_path / "in.ppm"
@@ -411,6 +457,23 @@ class TestCam:
         err = capsys.readouterr().err
         assert err.startswith(f"config error: {flag} ") and err.count("\n") == 1
         assert not (tmp_path / "o.ppm").exists()
+
+    def test_output_directory_exit_2_before_loading(self, tmp_path, capsys):
+        img = tmp_path / "in.ppm"
+        img.write_bytes(encode_ppm(solid_image(16, (1, 1, 1))))
+        rc = main(["cam", str(tmp_path / "absent.dnw"), str(img), str(tmp_path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and str(tmp_path) in err
+        assert err.count("\n") == 1
+
+    def test_output_in_missing_directory_exit_2(self, zero224, tmp_path, capsys):
+        img = tmp_path / "in.ppm"
+        img.write_bytes(encode_ppm(solid_image(224, (1, 2, 3))))
+        out = tmp_path / "absent" / "o.ppm"
+        assert main(["cam", str(zero224), str(img), str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and str(out) in err and err.count("\n") == 1
 
     def test_overlay_deterministic(self, tmp_path):
         model = self._patch_model(tmp_path)

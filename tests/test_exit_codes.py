@@ -6,6 +6,7 @@ returns one of the documented codes and writes at most one stderr line.
 import contextlib
 import io
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from synth_data import solid_image
 from defectnet.cli import DEFAULTS, main
 from defectnet.data import encode_ppm
 from defectnet.model import ArchSpec, GapHead, build
+from defectnet.tensor import Tensor
 from defectnet.weights_io import write_weights
 
 FAST = settings(max_examples=200, deadline=None, derandomize=True)
@@ -56,9 +58,14 @@ def dnw(*entries) -> bytes:
     return b"".join(out)
 
 
-def archive(num_classes=4) -> bytes:
+def archive(num_classes=4, first_weight=None) -> bytes:
+    m = build(ArchSpec(((1, 4),), GapHead(), num_classes, input_size=SIZE), 0)
+    if first_weight is not None:
+        w = m.params["block1.conv1.w"].array.copy()
+        w.flat[0] = first_weight
+        m = replace(m, params={**m.params, "block1.conv1.w": Tensor(w)})
     buf = io.BytesIO()
-    write_weights(build(ArchSpec(((1, 4),), GapHead(), num_classes, input_size=SIZE), 0), buf)
+    write_weights(m, buf)
     return buf.getvalue()
 
 
@@ -127,6 +134,29 @@ def test_ppm_headers(work, ppm):
 @example(model=dnw((b"block1.conv1.w", np.zeros((4, 3, 3, 3))), (b"head.out.w", np.zeros(4))))
 @example(model=b"DNW1" + struct.pack("<II", 1, 1) + b"a" + struct.pack("<III", 2, 10 ** 5, 10 ** 5))
 @example(model=archive(num_classes=3))
+@example(model=archive(first_weight=np.nan))
+@example(model=archive(first_weight=-np.inf))
+@pytest.mark.filterwarnings("error")
 def test_dnw_archives(work, model):
     (work / "mutated.dnw").write_bytes(model)
     assert run(["predict", str(work / "mutated.dnw"), str(work / "image.ppm")]) in (0, 3)
+
+
+@FAST
+@given(command=st.sampled_from(["cam", "eval", "prepare"]),
+       out=st.sampled_from([".", "a-file", "absent/out", "a-file/out", "out"]))
+@example(command="cam", out=".")
+@example(command="eval", out=".")
+@example(command="prepare", out="a-file")
+def test_output_paths(work, command, out):
+    # out is relative to work: its directory, a regular file, a missing
+    # parent, a file as parent, or a fresh name
+    (work / "a-file").write_text("x")
+    (work / "good.csv").write_text(COUNTS)
+    (work / "photos" / "mould").mkdir(parents=True, exist_ok=True)
+    (work / "photos" / "mould" / "a.ppm").write_bytes(IMAGE)
+    target = str(work / out)
+    argv = {"cam": ["cam", str(work / "model.dnw"), str(work / "image.ppm"), target],
+            "eval": ["eval", "--counts", str(work / "good.csv"), "--out-csv", target],
+            "prepare": ["prepare", str(work / "photos"), target]}[command]
+    assert run(argv) in (0, 2)

@@ -83,6 +83,15 @@ class TestReadErrors:
         with pytest.raises(ArchiveError, match="duplicate.*'w'"):
             read_weights(io.BytesIO(raw))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value_names_entry(self, bad):
+        w = np.ones((2, 3), np.float32)
+        w[1, 2] = bad
+        buf = io.BytesIO()
+        write_weights(params_only({"block1.conv1.w": Tensor(w)}), buf)
+        with pytest.raises(ArchiveError, match=r"'block1\.conv1\.w'.*non-finite"):
+            read_weights(io.BytesIO(buf.getvalue()))
+
     def test_undecodable_name(self):
         raw = b"DNW1" + b"\x01\x00\x00\x00" + b"\x02\x00\x00\x00" + b"\xff\xfe"
         with pytest.raises(ArchiveError, match="entry 0 name is not UTF-8"):
