@@ -178,6 +178,33 @@ class TestConvMatchesWholeMatrixReference:
         assert max(widths) < 288
 
 
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(o=st.sampled_from([2, 3, 16, 64]), k=st.integers(1, 600),
+       length=st.builds(lambda units, tail: 16 * units + tail,
+                        st.integers(1, 180), st.sampled_from([0, 0, 0, 1, 4, 12])),
+       chunk_bytes=st.sampled_from([2048, 65536, 1 << 20]), seed=st.integers(0, 2 ** 16))
+def test_bands_keep_the_float64_bits_of_the_whole_product(o, k, length, chunk_bytes, seed):
+    """The float64 products, before any rounding to float32, of the three
+    conv GEMMs over the bands of nn._bands equal the whole products."""
+    rng = np.random.default_rng(seed)
+    w = rng.normal(size=(o, k))
+    cols = rng.normal(size=(k, length))
+    d_mat = rng.normal(size=(o, length))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(nn, "CHUNK_BYTES", chunk_bytes)
+        col_bands = nn._bands(length, 8 * k, o * k)
+        row_bands = nn._bands(k, 8 * length, o * length)
+    whole = w @ cols
+    for a, b in col_bands:  # forward: W @ cols
+        assert np.array_equal(w @ np.ascontiguousarray(cols[:, a:b]), whole[:, a:b])
+    whole = d_mat @ cols.T
+    for a, b in row_bands:  # d_w: d_out @ cols.T, banded by patch rows
+        assert np.array_equal(d_mat @ np.ascontiguousarray(cols[a:b]).T, whole[:, a:b])
+    whole = w.T @ d_mat
+    for a, b in col_bands:  # d_input: W.T @ d_out
+        assert np.array_equal(w.T @ d_mat[:, a:b], whole[:, a:b])
+
+
 def test_conv_peak_allocation_is_a_fraction_of_the_patch_matrix(monkeypatch):
     """With a 64 KB band cap, neither direction allocates a quarter of the
     float64 patch matrix. The whole-size buffers of the backward pass (the
