@@ -76,8 +76,11 @@ def _conv_geometry(x_shape, p: ConvParams):
     return n, c, h, w, out_ch, kh, kw, oh, ow
 
 
-CHUNK_BYTES = 8 << 20
-"""Cap on one band of a float64 patch matrix, in bytes."""
+CHUNK_BYTES = 16 << 20
+"""Cap on one band of a float64 patch matrix, in bytes. Bands of 8 MiB and
+less cost the 64-px toy pipeline about 15% of its throughput: glibc then
+returns the band buffers to the OS between calls and faults them back in
+4 KiB pages on the next call."""
 
 # A band's product keeps the bits of the whole product only where each of
 # its columns meets the same OpenBLAS dgemm micro-kernel as in the whole.
