@@ -8,9 +8,9 @@ inputs as their ctx. Convolution runs as im2col + matmul (the naive
 sliding-window loop is kept as an oracle in the test suite) over the
 float64 patch matrix [C*kh*kw x N*oh*ow], rows in (c, i, j) and columns
 in (n, y, x) order, written straight from a padded (C, N, H, W) copy of
-the input. No call holds the whole matrix: each GEMM runs over bands of
-it of about CHUNK_BYTES (see _bands), and every band keeps the bits of
-the one whole product.
+the input. Each GEMM runs over bands of that matrix of at most
+CHUNK_BYTES, save the exceptions listed at _bands, and every band keeps
+the bits of the one whole product.
 """
 
 from __future__ import annotations
@@ -77,10 +77,10 @@ def _conv_geometry(x_shape, p: ConvParams):
 
 
 CHUNK_BYTES = 16 << 20
-"""Cap on one band of a float64 patch matrix, in bytes. Bands of 8 MiB and
-less cost the 64-px toy pipeline about 15% of its throughput: glibc then
-returns the band buffers to the OS between calls and faults them back in
-4 KiB pages on the next call."""
+"""Cap on one band of a float64 patch matrix, in bytes. A cap of 8 MiB or
+less slowed 64-px training at batch 8 by about 15%: glibc then returned
+the band buffers to the OS between calls and faulted them back in 4 KiB
+pages on the next call."""
 
 # A band's product keeps the bits of the whole product only where each of
 # its columns meets the same OpenBLAS dgemm micro-kernel as in the whole.

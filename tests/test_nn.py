@@ -184,8 +184,10 @@ class TestConvMatchesWholeMatrixReference:
                         st.integers(1, 180), st.sampled_from([0, 0, 0, 1, 4, 12])),
        chunk_bytes=st.sampled_from([2048, 65536, 1 << 20]), seed=st.integers(0, 2 ** 16))
 def test_bands_keep_the_float64_bits_of_the_whole_product(o, k, length, chunk_bytes, seed):
-    """The float64 products, before any rounding to float32, of the three
-    conv GEMMs over the bands of nn._bands equal the whole products."""
+    """The float64 products of the three conv GEMMs over the bands of
+    nn._bands equal the whole products. The conv outputs round these to
+    float32, which hides nearly every last-bit difference of a band that
+    meets another OpenBLAS kernel, so the bands are checked before that."""
     rng = np.random.default_rng(seed)
     w = rng.normal(size=(o, k))
     cols = rng.normal(size=(k, length))
@@ -207,9 +209,10 @@ def test_bands_keep_the_float64_bits_of_the_whole_product(o, k, length, chunk_by
 
 def test_conv_peak_allocation_is_a_fraction_of_the_patch_matrix(monkeypatch):
     """With a 64 KB band cap, neither direction allocates a quarter of the
-    float64 patch matrix. The whole-size buffers of the backward pass (the
-    float64 d_out matrix and the float64 d_input accumulator) are O/(C*k*k)
-    and about 1/(k*k) of it, hence a 5x5 kernel."""
+    float64 patch matrix. The backward pass keeps two buffers whole, the
+    float64 d_out matrix and the float64 d_input accumulator, O/(C*k*k) and
+    about 1/(k*k) of the patch matrix, hence a 5x5 kernel; 16 input
+    channels make the 400 patch rows a multiple of 16, so d_w splits too."""
     monkeypatch.setattr(nn, "CHUNK_BYTES", 64 << 10, raising=False)
     x, w, b, r = conv_case(0, 2, 16, 16, 96, 96, 5, 1, 2)
     p = nn.ConvParams(t32(w), t32(b), padding=2)
