@@ -98,7 +98,8 @@ def _bands(length: int, line_bytes: int, other: int) -> list[tuple[int, int]]:
 
     line_bytes is the float64 operand size of one column and other the
     product of the GEMM's two other dimensions. Each band holds at most
-    CHUNK_BYTES of operand, unless the small-matrix limit asks for more.
+    CHUNK_BYTES of operand, unless one 16-column unit or the small-matrix
+    limit asks for more.
     """
     if length % _BAND_ALIGN:
         return [(0, length)]
