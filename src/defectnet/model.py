@@ -173,8 +173,11 @@ class Dense(Layer):
 
 
 class Relu(Layer):
+    """Keeps its output as ctx, the array the next layer keeps as its input."""
+
     def forward(self, params, x):
-        return nn.relu(x), x
+        y = nn.relu(x)
+        return y, y
 
     def backward(self, ctx, dy):
         return nn.relu_backward(ctx, dy), {}

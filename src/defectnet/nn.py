@@ -4,13 +4,17 @@ softmax and cross-entropy.
 Every operation is a pure function; backward passes take the original
 forward inputs explicitly instead of relying on hidden layer state. The
 layer objects of model.layers call these functions and keep those
-inputs as their ctx. Convolution runs as im2col + matmul (the naive
+inputs as their ctx; a ReLU keeps its output, which is positive where
+its input is. Convolution runs as im2col + matmul (the naive
 sliding-window loop is kept as an oracle in the test suite) over the
 float64 patch matrix [C*kh*kw x N*oh*ow], rows in (c, i, j) and columns
-in (n, y, x) order, written straight from a padded (C, N, H, W) copy of
-the input. Each GEMM runs over bands of that matrix of at most
+in (n, y, x) order. Each GEMM runs over bands of that matrix of at most
 CHUNK_BYTES, save the exceptions listed at _bands, and every band keeps
-the bits of the one whole product.
+the bits of the one whole product. One tap walk, _tap_walk, pairs a band
+with the strided views of a padded (C, N, H, W) copy of the input that
+it reads: the forward and d_w gather their bands through it, and d_input
+scatters its bands back through it in descending order, so that each
+input element gets its (i, j) terms in ascending order.
 """
 
 from __future__ import annotations
@@ -56,7 +60,7 @@ class LayerGradients:
 
 @dataclass(frozen=True)
 class PoolMask:
-    """Winning position per 2x2 window (0..3, row-major within the window)."""
+    """Winning position per 2x2 window (uint8 0..3, row-major within the window)."""
 
     window_argmax: np.ndarray
     input_shape: tuple[int, int, int, int]
@@ -135,13 +139,6 @@ def _boxes(m0: int, m1: int, oh: int, ow: int) -> list[tuple[int, tuple[int, ...
     return boxes
 
 
-def _taps(x_pad: np.ndarray, i: int, j: int, stride: int, box) -> np.ndarray:
-    """View of the padded (C, N, H, W) input that tap (i, j) reads for a box."""
-    n0, n1, y0, y1, x0, x1 = box
-    return x_pad[:, n0:n1, i + stride * y0 : i + stride * y1 : stride,
-                 j + stride * x0 : j + stride * x1 : stride]
-
-
 def _band_view(band: np.ndarray, off: int, box) -> np.ndarray:
     """A box's columns of a [rows x width] band, shaped (rows, n, y, x)."""
     n0, n1, y0, y1, x0, x1 = box
@@ -162,28 +159,24 @@ def _band_buffer(bands, line: int) -> np.ndarray:
     return np.empty(line * max(b - a for a, b in bands), dtype=np.float64)
 
 
-def _patch_columns(buf: np.ndarray, xp: np.ndarray, kh, kw, stride, boxes, width) -> np.ndarray:
-    """The boxes' columns of the float64 patch matrix [C*kh*kw x N*oh*ow], built in buf."""
-    c = xp.shape[0]
-    cols = buf[: c * kh * kw * width].reshape(c, kh, kw, width)
-    for i in range(kh):
-        for j in range(kw):
-            for off, box in boxes:
-                _band_view(cols[:, i, j], off, box)[...] = _taps(xp, i, j, stride, box)
-    return cols.reshape(c * kh * kw, width)
-
-
-def _patch_rows(buf: np.ndarray, xp: np.ndarray, kh, kw, stride, r0, r1, oh, ow) -> np.ndarray:
-    """Rows [r0, r1) of the float64 patch matrix [C*kh*kw x N*oh*ow], built in buf."""
+def _tap_walk(block: np.ndarray, r0: int, xp: np.ndarray, kh, kw, stride, boxes):
+    """Pair rows [r0, r0 + len(block)) of a band of the patch matrix
+    [C*kh*kw x N*oh*ow] with the padded (C, N, H, W) input they read:
+    (block view, input view) pairs of one shape, tap (i, j) by tap in
+    ascending order, then box by box over the band's columns."""
     taps = kh * kw
-    rows = buf[: (r1 - r0) * xp.shape[1] * oh * ow].reshape(r1 - r0, xp.shape[1], oh, ow)
-    whole = (0, xp.shape[1], 0, oh, 0, ow)
+    r1 = r0 + len(block)
     for t in range(taps):
+        i, j = divmod(t, kw)
         c0 = max(0, -(-(r0 - t) // taps))  # channels c with r0 <= c*taps + t < r1
         c1 = -(-(r1 - t) // taps)
         if c0 < c1:
-            rows[c0 * taps + t - r0 :: taps] = _taps(xp[c0:c1], *divmod(t, kw), stride, whole)
-    return rows.reshape(r1 - r0, -1)
+            rows = block[c0 * taps + t - r0 :: taps]
+            for off, box in boxes:
+                n0, n1, y0, y1, x0, x1 = box
+                yield _band_view(rows, off, box), xp[
+                    c0:c1, n0:n1, i + stride * y0 : i + stride * y1 : stride,
+                    j + stride * x0 : j + stride * x1 : stride]
 
 
 def conv2d_forward(x: Tensor, p: ConvParams) -> Tensor:
@@ -201,7 +194,9 @@ def conv2d_forward(x: Tensor, p: ConvParams) -> Tensor:
     buf = _band_buffer(bands, k)
     for m0, m1 in bands:
         boxes = _boxes(m0, m1, oh, ow)
-        cols = _patch_columns(buf, xp, kh, kw, p.stride, boxes, m1 - m0)
+        cols = buf[: k * (m1 - m0)].reshape(k, m1 - m0)
+        for patch, taps in _tap_walk(cols, 0, xp, kh, kw, p.stride, boxes):
+            patch[...] = taps
         band = _mm64(w64, cols) + p.bias.array[:, None]
         for off, box in boxes:
             n0, n1, y0, y1, x0, x1 = box
@@ -223,8 +218,12 @@ def conv2d_backward(x: Tensor, p: ConvParams, d_out: Tensor) -> LayerGradients:
     d_w = np.empty((out_ch, k), dtype=np.float32)
     bands = _bands(k, 8 * m, out_ch * m)
     buf = _band_buffer(bands, m)
+    whole = _boxes(0, m, oh, ow)
     for r0, r1 in bands:
-        d_w[:, r0:r1] = _mm64(d_mat, _patch_rows(buf, xp, kh, kw, s, r0, r1, oh, ow).T)
+        rows = buf[: (r1 - r0) * m].reshape(r1 - r0, m)
+        for patch, taps in _tap_walk(rows, r0, xp, kh, kw, s, whole):
+            patch[...] = taps
+        d_w[:, r0:r1] = _mm64(d_mat, rows.T)
     del xp, buf
 
     # d_input: scatter-add W.T @ d_mat band by band into a float64 padded
@@ -233,12 +232,9 @@ def conv2d_backward(x: Tensor, p: ConvParams, d_out: Tensor) -> LayerGradients:
     wt64 = p.weights.array.reshape(out_ch, k).T.astype(np.float64)
     dxp = np.zeros((c, n, h + 2 * pad, w + 2 * pad), dtype=np.float64)
     for m0, m1 in reversed(_bands(m, 8 * k, out_ch * k)):
-        d_cols = _mm64(wt64, d_mat[:, m0:m1]).reshape(c, kh, kw, m1 - m0)
-        boxes = _boxes(m0, m1, oh, ow)
-        for i in range(kh):
-            for j in range(kw):
-                for off, box in boxes:
-                    _taps(dxp, i, j, s, box)[...] += _band_view(d_cols[:, i, j], off, box)
+        d_cols = _mm64(wt64, d_mat[:, m0:m1])
+        for patch, taps in _tap_walk(d_cols, 0, dxp, kh, kw, s, _boxes(m0, m1, oh, ow)):
+            taps += patch
     d_input = np.ascontiguousarray(
         dxp[:, :, pad : pad + h, pad : pad + w].transpose(1, 0, 2, 3), dtype=np.float32)
     return LayerGradients(
@@ -259,7 +255,7 @@ def maxpool2d_forward(x: Tensor) -> tuple[Tensor, PoolMask]:
     win = np.ascontiguousarray(
         x.array.reshape(n, c, oh, 2, ow, 2).transpose(0, 1, 2, 4, 3, 5)
     ).reshape(n, c, oh, ow, 4)
-    idx = win.argmax(axis=-1)
+    idx = win.argmax(axis=-1).astype(np.uint8)
     out = np.take_along_axis(win, idx[..., None], axis=-1)[..., 0]
     return Tensor._wrap(np.ascontiguousarray(out)), PoolMask(idx, (n, c, h, w))
 
@@ -320,7 +316,7 @@ def relu(x: Tensor) -> Tensor:
 
 
 def relu_backward(x: Tensor, d_out: Tensor) -> Tensor:
-    """Pass gradient where input was strictly positive; zero at x <= 0."""
+    """Pass gradient where x, the ReLU's input or output, is > 0; zero elsewhere."""
     if d_out.shape != x.shape:
         raise ShapeError(f"d_out shape {d_out.shape} != input shape {x.shape}")
     return Tensor._wrap(np.where(x.array > 0, d_out.array, np.float32(0.0)))

@@ -280,6 +280,33 @@ class TestLossAndGradients:
             assert g.shape == m.params[name].shape, name
         assert loss > 0
 
+    def test_relu_ctx_is_the_array_the_next_layer_receives(self, monkeypatch):
+        # ReLUs before a conv, before a pool and between two denses
+        import defectnet.model as model_mod
+
+        received = []
+
+        class Recorder:
+            def __init__(self, layer):
+                self.layer = layer
+
+            def forward(self, params, x):
+                received.append(x.array)
+                return self.layer.forward(params, x)
+
+        spec = ArchSpec(((2, 2),), FcHead((3,)), num_classes=3, in_channels=1, input_size=4)
+        m = build(spec, seed=9)
+        real = model_mod.layers
+        monkeypatch.setattr(model_mod, "layers",
+                            lambda s: tuple([Recorder(l) for l in part] for part in real(s)))
+        tape = []
+        x = np.random.default_rng(3).normal(size=(2, 1, 4, 4)).astype(np.float32)
+        model_mod._run(m, Tensor(x), tape)
+        relus = [k for k, (rec, _) in enumerate(tape) if isinstance(rec.layer, model_mod.Relu)]
+        assert len(relus) == 3
+        for k in relus:
+            assert tape[k][1].array is received[k + 1]
+
     @pytest.mark.parametrize("head", [GapHead(), FcHead((3,))], ids=["gap", "fc"])
     def test_whole_model_gradient_matches_finite_differences(self, head):
         # end-to-end check through conv+relu+pool, then gap+dense or

@@ -239,6 +239,10 @@ class TestMaxPool:
         assert np.all(out.array == 7.0)
         assert np.all(mask.window_argmax == 0)
 
+    def test_mask_is_uint8(self):
+        _, mask = nn.maxpool2d_forward(Tensor.zeros((2, 3, 4, 4)))
+        assert mask.window_argmax.dtype == np.uint8
+
     def test_224_to_112(self):
         out, _ = nn.maxpool2d_forward(Tensor.zeros((1, 1, 224, 224)))
         assert out.shape == (1, 1, 112, 112)
