@@ -19,7 +19,7 @@ import numpy as np
 from . import cam as cam_mod
 from . import metrics, model as model_mod, weights_io
 from .data import (AugmentParams, image_from_tensor, image_to_tensor, load_dataset,
-                   read_ppm, slice_image, split, write_ppm)
+                   ppm_files, read_ppm, slice_image, split, write_ppm)
 from .errors import (ArchiveError, CapabilityError, ConfigError, DatasetError,
                      ImageSizeError, PpmParseError, ShapeError)
 from .labels import LABEL_NAMES, label_index
@@ -207,10 +207,7 @@ def _writing(path):
 
 
 def _require_image(path, size: int):
-    try:
-        img = read_ppm(path)
-    except OSError as exc:
-        raise PpmParseError(f"cannot read image {path}: {exc.strerror}", offset=0) from None
+    img = read_ppm(path)
     if (img.width, img.height) != (size, size):
         raise ImageSizeError(
             f"image must be {size}x{size}, got {img.width}x{img.height}"
@@ -231,7 +228,7 @@ def cmd_prepare(args) -> int:
     total = 0
     for name in LABEL_NAMES:
         count = 0
-        files = sorted((src / name).rglob("*.ppm")) if (src / name).is_dir() else []
+        files = ppm_files(src / name) if (src / name).is_dir() else []
         with _writing(out / name) as path:
             path.mkdir(parents=True, exist_ok=True)
         for f in files:

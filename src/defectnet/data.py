@@ -113,7 +113,12 @@ def encode_ppm(img: RasterImage) -> bytes:
 
 
 def read_ppm(path) -> RasterImage:
-    return decode_ppm(Path(path).read_bytes())
+    """Decode a PPM file; a file that cannot be read is a PpmParseError too."""
+    try:
+        data = Path(path).read_bytes()
+    except OSError as exc:
+        raise PpmParseError(f"cannot read image {path}: {exc.strerror or exc}", offset=0) from None
+    return decode_ppm(data)
 
 
 def write_ppm(path, img: RasterImage) -> None:
@@ -165,6 +170,11 @@ class LabeledDataset:
         return out
 
 
+def ppm_files(directory) -> list[Path]:
+    """The .ppm files anywhere under a directory, lexicographic by path."""
+    return sorted(p for p in Path(directory).rglob("*.ppm") if p.is_file())
+
+
 def load_dataset(root) -> LabeledDataset:
     """Load <root>/<label>/*.ppm for the four labels, lexicographic by path."""
     root = Path(root)
@@ -177,7 +187,7 @@ def load_dataset(root) -> LabeledDataset:
     items: list[tuple[object, int]] = []
     warnings = []
     for idx, name in enumerate(LABEL_NAMES):
-        files = sorted(p for p in (root / name).rglob("*.ppm") if p.is_file())
+        files = ppm_files(root / name)
         if not files:
             warnings.append(f"no images for class {name!r}")
         items.extend((p, idx) for p in files)

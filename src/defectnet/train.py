@@ -16,7 +16,7 @@ import numpy as np
 
 from . import model as model_mod
 from . import nn
-from .data import AugmentParams, LabeledDataset, augment, image_to_tensor
+from .data import AugmentParams, LabeledDataset, RasterImage, augment, image_to_tensor
 from .errors import DatasetError, ShapeError
 from .metrics import ConfusionMatrix
 from .model import Model
@@ -110,12 +110,17 @@ def _batches(n: int, batch_size: int, steps: int, rng: np.random.Generator):
         yield batch
 
 
-def _stack_batch(ds: LabeledDataset, idxs, aug: AugmentParams | None,
+def _stack_batch(ds: LabeledDataset, idxs, size: int, aug: AugmentParams | None,
                  epoch: int, step: int) -> tuple[Tensor, list[int]]:
     xs = []
     ys = []
     for slot, i in enumerate(idxs):
         img = ds.image(i)
+        if (img.width, img.height) != (size, size):
+            ref = ds.items[i][0]
+            name = f"#{i}" if isinstance(ref, RasterImage) else ref
+            raise DatasetError(f"image {name} is {img.width}x{img.height}, "
+                               f"the model takes {size}x{size}")
         if aug is not None and not aug.disabled:
             draw = np.random.default_rng((aug.rng_seed, epoch, step, slot))
             img = augment(img, aug, draw)
@@ -151,7 +156,7 @@ def train(model: Model, train_ds: LabeledDataset, val_ds: LabeledDataset,
         correct = 0
         for step, idxs in enumerate(_batches(len(train_ds), cfg.batch_size,
                                              cfg.steps_per_epoch, rng)):
-            batch, targets = _stack_batch(train_ds, idxs, aug, epoch, step)
+            batch, targets = _stack_batch(train_ds, idxs, model.spec.input_size, aug, epoch, step)
             loss, probs, grads = model_mod.loss_and_gradients(model, batch, targets)
             params, velocity = sgd_step(model.params, grads, velocity,
                                         cfg.learning_rate, cfg.momentum, model.trainable)
@@ -176,7 +181,7 @@ def _evaluate_with_loss(model: Model, ds: LabeledDataset,
     loss_sum = 0.0
     for start in range(0, len(ds), batch_size):
         idxs = range(start, min(start + batch_size, len(ds)))
-        batch, targets = _stack_batch(ds, idxs, None, 0, 0)
+        batch, targets = _stack_batch(ds, idxs, model.spec.input_size, None, 0, 0)
         trace = model_mod.forward(model, batch)
         loss_sum += nn.cross_entropy(trace.probs, targets) * len(targets)
         preds = np.argmax(trace.probs.array, axis=1)

@@ -1,10 +1,12 @@
 """Property test of the CLI exit-code contract: whatever the config file,
-counts CSV, PPM header or DNW archive holds, `main` raises nothing,
-returns one of the documented codes and writes at most one stderr line.
+counts CSV, PPM header, DNW archive or dataset tree holds, `main` raises
+nothing, returns one of the documented codes and writes at most one
+stderr line.
 """
 
 import contextlib
 import io
+import shutil
 import struct
 from dataclasses import replace
 
@@ -16,6 +18,7 @@ from synth_data import solid_image
 
 from defectnet.cli import DEFAULTS, main
 from defectnet.data import encode_ppm
+from defectnet.labels import LABEL_NAMES
 from defectnet.model import ArchSpec, GapHead, build
 from defectnet.tensor import Tensor
 from defectnet.weights_io import write_weights
@@ -160,3 +163,76 @@ def test_output_paths(work, command, out):
             "eval": ["eval", "--counts", str(work / "good.csv"), "--out-csv", target],
             "prepare": ["prepare", str(work / "photos"), target]}[command]
     assert run(argv) in (0, 2)
+
+
+TILE = 8
+PHOTO = encode_ppm(solid_image(TILE, (90, 60, 30)))
+BIG = encode_ppm(solid_image(2 * TILE, (30, 60, 90)))
+TREE_EDITS = st.tuples(st.sampled_from(LABEL_NAMES),
+                       st.sampled_from(["dir", "big", "junk", "nested", "empty", "gone", "file"]),
+                       st.binary(max_size=8))
+
+
+def dataset_tree(root, edits):
+    """Two TILE-px photos per label under root, then each (label, kind, junk)
+    edit: a directory named like a photo, a photo twice the size, a junk
+    .ppm, a photo in a subdirectory, no photos, no label directory, or a
+    file in its place."""
+    shutil.rmtree(root, ignore_errors=True)
+    for name in LABEL_NAMES:
+        (root / name).mkdir(parents=True)
+        for k in range(2):
+            (root / name / f"{k}.ppm").write_bytes(PHOTO)
+    for name, kind, junk in edits:
+        d = root / name
+        if not d.is_dir():
+            continue
+        if kind == "dir":
+            (d / "dir.ppm").mkdir(exist_ok=True)
+        elif kind == "big":
+            (d / "big.ppm").write_bytes(BIG)
+        elif kind == "junk":
+            (d / "junk.ppm").write_bytes(junk)
+        elif kind == "nested":
+            (d / "sub").mkdir(exist_ok=True)
+            (d / "sub" / "n.ppm").write_bytes(PHOTO)
+        elif kind == "empty":
+            shutil.rmtree(d)
+            d.mkdir()
+        else:
+            shutil.rmtree(d)
+            if kind == "file":
+                d.write_bytes(junk)
+
+
+def train_on(work, data_dir):
+    # a batch larger than the tree, so the one step reads every training photo
+    lines = {**CONFIG, "input_size": TILE, "batch_size": 32,
+             "data_dir": data_dir, "out_dir": work / "run"}
+    (work / "tree.cfg").write_text("".join(f"{k} = {v}\n" for k, v in lines.items()))
+    return ["train", "--config", str(work / "tree.cfg")]
+
+
+@FAST
+@given(edits=st.lists(TREE_EDITS, max_size=3))
+@example(edits=[("mould", "dir", b"")])
+@example(edits=[("mould", "big", b"")])
+def test_dataset_trees(work, edits):
+    dataset_tree(work / "tree", edits)
+    shutil.rmtree(work / "tiles", ignore_errors=True)
+    argv = ["prepare", str(work / "tree"), str(work / "tiles"), "--tile", str(TILE)]
+    assert run(argv) in (0, 4)
+    assert run(train_on(work, work / "tree")) in (0, 3, 4)
+
+
+@pytest.mark.parametrize("labels", [("mould",), LABEL_NAMES], ids=["one-label", "every-label"])
+def test_wrong_sized_photo_is_named(work, labels):
+    dataset_tree(work / "tree", [])
+    for name in labels:
+        for k in range(2):
+            (work / "tree" / name / f"{k}.ppm").write_bytes(BIG)
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        assert main(train_on(work, work / "tree")) == 3
+    line, = err.getvalue().splitlines()
+    assert str(work / "tree") in line and "is 16x16, the model takes 8x8" in line
