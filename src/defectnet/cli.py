@@ -21,7 +21,7 @@ from . import metrics, model as model_mod, weights_io
 from .data import (AugmentParams, image_from_tensor, image_to_tensor, load_dataset,
                    ppm_files, read_ppm, slice_image, split, write_ppm)
 from .errors import (ArchiveError, CapabilityError, ConfigError, DatasetError,
-                     ImageSizeError, PpmParseError, ShapeError)
+                     DivergenceError, ImageSizeError, PpmParseError, ShapeError)
 from .labels import LABEL_NAMES, label_index
 from .model import ArchSpec, FcHead, GapHead, arch_preset, build, set_trainable
 from .tensor import Tensor
@@ -455,7 +455,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (DatasetError, ArchiveError, ShapeError) as exc:
+    except (DatasetError, ArchiveError, ShapeError, DivergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (PpmParseError, ImageSizeError) as exc:

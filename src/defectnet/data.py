@@ -113,12 +113,16 @@ def encode_ppm(img: RasterImage) -> bytes:
 
 
 def read_ppm(path) -> RasterImage:
-    """Decode a PPM file; a file that cannot be read is a PpmParseError too."""
+    """Decode a PPM file; a file that cannot be read is a PpmParseError too,
+    and every PpmParseError names the file."""
     try:
         data = Path(path).read_bytes()
     except OSError as exc:
         raise PpmParseError(f"cannot read image {path}: {exc.strerror or exc}", offset=0) from None
-    return decode_ppm(data)
+    try:
+        return decode_ppm(data)
+    except PpmParseError as exc:
+        raise PpmParseError(f"{path}: {exc.reason}", exc.offset) from None
 
 
 def write_ppm(path, img: RasterImage) -> None:

@@ -22,7 +22,12 @@ class PpmParseError(ValueError):
 
     def __init__(self, message: str, offset: int):
         super().__init__(f"{message} (byte offset {offset})")
+        self.reason = message
         self.offset = offset
+
+
+class DivergenceError(ValueError):
+    """Training produced a non-finite loss or parameter."""
 
 
 class ImageSizeError(ValueError):

@@ -135,11 +135,13 @@ def _param_grads(name: str, lg: nn.LayerGradients):
 
 @dataclass(frozen=True)
 class Conv(Layer):
-    """3x3 same-padded, stride-1 convolution."""
+    """3x3 same-padded, stride-1 convolution. The first conv of a model
+    reads the input batch, whose gradient nothing uses, so it skips d_input."""
 
     name: str
     in_ch: int
     out_ch: int
+    first: bool = False
 
     def init(self, rng):
         return _draw(self.name, rng, (self.out_ch, self.in_ch, KERNEL, KERNEL), self.out_ch)
@@ -150,7 +152,7 @@ class Conv(Layer):
         return nn.conv2d_forward(x, cp), (x, cp)
 
     def backward(self, ctx, dy):
-        return _param_grads(self.name, nn.conv2d_backward(*ctx, dy))
+        return _param_grads(self.name, nn.conv2d_backward(*ctx, dy, with_input=not self.first))
 
 
 @dataclass(frozen=True)
@@ -217,7 +219,7 @@ def layers(spec: ArchSpec) -> tuple[list[Layer], list[Layer]]:
     in_ch = spec.in_channels
     for b, (count, filters) in enumerate(spec.blocks, 1):
         for i in range(1, count + 1):
-            features += [Conv(f"block{b}.conv{i}", in_ch, filters), Relu()]
+            features += [Conv(f"block{b}.conv{i}", in_ch, filters, first=not features), Relu()]
             in_ch = filters
         features.append(MaxPool())
     if isinstance(spec.head, GapHead):

@@ -8,13 +8,12 @@ inputs as their ctx; a ReLU keeps its output, which is positive where
 its input is. Convolution runs as im2col + matmul (the naive
 sliding-window loop is kept as an oracle in the test suite) over the
 float64 patch matrix [C*kh*kw x N*oh*ow], rows in (c, i, j) and columns
-in (n, y, x) order. Each GEMM runs over bands of that matrix of at most
+in (n, y, x) order, which _tap_walk gathers from a padded (C, N, H, W)
+copy of the input. Each GEMM runs over bands of that matrix of at most
 CHUNK_BYTES, save the exceptions listed at _bands, and every band keeps
-the bits of the one whole product. One tap walk, _tap_walk, pairs a band
-with the strided views of a padded (C, N, H, W) copy of the input that
-it reads: the forward and d_w gather their bands through it, and d_input
-scatters its bands back through it in descending order, so that each
-input element gets its (i, j) terms in ascending order.
+the bits of the one whole product. One correlation, _correlate, serves
+the forward and d_input: d_input correlates d_out, zero-inserted and
+padded, with the flipped, transposed filters, and rounds once.
 """
 
 from __future__ import annotations
@@ -52,9 +51,9 @@ class ConvParams:
 
 @dataclass(frozen=True)
 class LayerGradients:
-    """Gradient of a layer: d_input plus one entry per parameter."""
+    """Gradient of a layer: d_input (None where it was skipped) plus one entry per parameter."""
 
-    d_input: Tensor
+    d_input: Tensor | None
     d_params: dict[str, Tensor] = field(default_factory=dict)
 
 
@@ -74,9 +73,7 @@ def _conv_geometry(x_shape, p: ConvParams):
     oh = (h + 2 * p.padding - kh) // p.stride + 1
     ow = (w + 2 * p.padding - kw) // p.stride + 1
     if oh < 1 or ow < 1 or h + 2 * p.padding < kh or w + 2 * p.padding < kw:
-        raise ShapeError(
-            f"kernel {kh}x{kw} (pad {p.padding}) does not fit input {h}x{w}"
-        )
+        raise ShapeError(f"kernel {kh}x{kw} (pad {p.padding}) does not fit input {h}x{w}")
     return n, c, h, w, out_ch, kh, kw, oh, ow
 
 
@@ -160,10 +157,9 @@ def _band_buffer(bands, line: int) -> np.ndarray:
 
 
 def _tap_walk(block: np.ndarray, r0: int, xp: np.ndarray, kh, kw, stride, boxes):
-    """Pair rows [r0, r0 + len(block)) of a band of the patch matrix
-    [C*kh*kw x N*oh*ow] with the padded (C, N, H, W) input they read:
-    (block view, input view) pairs of one shape, tap (i, j) by tap in
-    ascending order, then box by box over the band's columns."""
+    """Fill rows [r0, r0 + len(block)) of a band of the patch matrix
+    [C*kh*kw x N*oh*ow] from the padded (C, N, H, W) input they read,
+    tap (i, j) by tap, then box by box over the band's columns."""
     taps = kh * kw
     r1 = r0 + len(block)
     for t in range(taps):
@@ -174,9 +170,29 @@ def _tap_walk(block: np.ndarray, r0: int, xp: np.ndarray, kh, kw, stride, boxes)
             rows = block[c0 * taps + t - r0 :: taps]
             for off, box in boxes:
                 n0, n1, y0, y1, x0, x1 = box
-                yield _band_view(rows, off, box), xp[
+                _band_view(rows, off, box)[...] = xp[
                     c0:c1, n0:n1, i + stride * y0 : i + stride * y1 : stride,
                     j + stride * x0 : j + stride * x1 : stride]
+
+
+def _correlate(xp: np.ndarray, w64: np.ndarray, bias, kh, kw, stride, oh, ow) -> np.ndarray:
+    """NCHW float32 out[n,o,y,x] = bias[o] + sum over c,i,j of
+    xp[c,n,y*stride+i,x*stride+j] * w64[o,(c,i,j)], for a padded
+    (C, N, H, W) input: one _mm64 per band of the patch matrix."""
+    out_ch, k = w64.shape
+    n = xp.shape[1]
+    out = np.empty((n, out_ch, oh, ow), dtype=np.float32)
+    bands = _bands(n * oh * ow, 8 * k, out_ch * k)
+    buf = _band_buffer(bands, k)
+    for m0, m1 in bands:
+        boxes = _boxes(m0, m1, oh, ow)
+        cols = buf[: k * (m1 - m0)].reshape(k, m1 - m0)
+        _tap_walk(cols, 0, xp, kh, kw, stride, boxes)
+        band = _mm64(w64, cols) + bias[:, None]
+        for off, box in boxes:
+            n0, n1, y0, y1, x0, x1 = box
+            out[n0:n1, :, y0:y1, x0:x1] = _band_view(band, off, box).transpose(1, 0, 2, 3)
+    return out
 
 
 def conv2d_forward(x: Tensor, p: ConvParams) -> Tensor:
@@ -186,26 +202,13 @@ def conv2d_forward(x: Tensor, p: ConvParams) -> Tensor:
     input[n,c,y*s+i-pad,x*s+j-pad] * w[o,c,i,j], zero outside bounds.
     """
     n, c, h, w, out_ch, kh, kw, oh, ow = _conv_geometry(x.shape, p)
-    xp = _padded(x.array, p.padding)
     w64 = p.weights.array.reshape(out_ch, -1).astype(np.float64)
-    k = c * kh * kw
-    out = np.empty((n, out_ch, oh, ow), dtype=np.float32)
-    bands = _bands(n * oh * ow, 8 * k, out_ch * k)
-    buf = _band_buffer(bands, k)
-    for m0, m1 in bands:
-        boxes = _boxes(m0, m1, oh, ow)
-        cols = buf[: k * (m1 - m0)].reshape(k, m1 - m0)
-        for patch, taps in _tap_walk(cols, 0, xp, kh, kw, p.stride, boxes):
-            patch[...] = taps
-        band = _mm64(w64, cols) + p.bias.array[:, None]
-        for off, box in boxes:
-            n0, n1, y0, y1, x0, x1 = box
-            out[n0:n1, :, y0:y1, x0:x1] = _band_view(band, off, box).transpose(1, 0, 2, 3)
-    return Tensor._wrap(out)
+    return Tensor._wrap(_correlate(_padded(x.array, p.padding), w64, p.bias.array,
+                                   kh, kw, p.stride, oh, ow))
 
 
-def conv2d_backward(x: Tensor, p: ConvParams, d_out: Tensor) -> LayerGradients:
-    """Exact adjoint of conv2d_forward for input, weights and bias."""
+def conv2d_backward(x: Tensor, p: ConvParams, d_out: Tensor, with_input=True) -> LayerGradients:
+    """Exact adjoint of conv2d_forward: weights, bias and, if with_input, input."""
     n, c, h, w, out_ch, kh, kw, oh, ow = _conv_geometry(x.shape, p)
     if d_out.shape != (n, out_ch, oh, ow):
         raise ShapeError(f"d_out shape {d_out.shape} != forward output ({n}, {out_ch}, {oh}, {ow})")
@@ -218,27 +221,23 @@ def conv2d_backward(x: Tensor, p: ConvParams, d_out: Tensor) -> LayerGradients:
     d_w = np.empty((out_ch, k), dtype=np.float32)
     bands = _bands(k, 8 * m, out_ch * m)
     buf = _band_buffer(bands, m)
-    whole = _boxes(0, m, oh, ow)
     for r0, r1 in bands:
         rows = buf[: (r1 - r0) * m].reshape(r1 - r0, m)
-        for patch, taps in _tap_walk(rows, r0, xp, kh, kw, s, whole):
-            patch[...] = taps
+        _tap_walk(rows, r0, xp, kh, kw, s, _boxes(0, m, oh, ow))
         d_w[:, r0:r1] = _mm64(d_mat, rows.T)
-    del xp, buf
+    del xp, buf, d_mat
 
-    # d_input: scatter-add W.T @ d_mat band by band into a float64 padded
-    # buffer. Bands run in descending column order, so every element gets
-    # its (i, j) terms in ascending (i, j) order, as one whole product would.
-    wt64 = p.weights.array.reshape(out_ch, k).T.astype(np.float64)
-    dxp = np.zeros((c, n, h + 2 * pad, w + 2 * pad), dtype=np.float64)
-    for m0, m1 in reversed(_bands(m, 8 * k, out_ch * k)):
-        d_cols = _mm64(wt64, d_mat[:, m0:m1])
-        for patch, taps in _tap_walk(d_cols, 0, dxp, kh, kw, s, _boxes(m0, m1, oh, ow)):
-            taps += patch
-    d_input = np.ascontiguousarray(
-        dxp[:, :, pad : pad + h, pad : pad + w].transpose(1, 0, 2, 3), dtype=np.float32)
+    # d_input correlates d_out, zero-inserted and padded by kh-1-pad, with
+    # the flipped filters, transposed to (C, O*kh*kw), and a zero bias.
+    d_input = None
+    if with_input:
+        wt64 = p.weights.array[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c, -1).astype(np.float64)
+        dz = np.zeros((out_ch, n, h + 2 * pad + kh - 1, w + 2 * pad + kw - 1), dtype=np.float32)
+        dz[:, :, kh - 1 :: s, kw - 1 :: s][:, :, :oh, :ow] = d_out.array.transpose(1, 0, 2, 3)
+        dz = dz[:, :, pad : pad + h + kh - 1, pad : pad + w + kw - 1]
+        d_input = Tensor._wrap(_correlate(dz, wt64, np.zeros(c, np.float32), kh, kw, 1, h, w))
     return LayerGradients(
-        d_input=Tensor._wrap(d_input),
+        d_input=d_input,
         d_params={"weights": Tensor._wrap(d_w.reshape(out_ch, c, kh, kw)),
                   "bias": Tensor._wrap(d_bias)},
     )

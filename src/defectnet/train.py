@@ -6,6 +6,9 @@ Frozen parameters are never touched: they stay bitwise equal to their
 pre-training values, as does their velocity. Runs are deterministic
 given (model, data, config): batch order reshuffles from a per-epoch
 seed and each sample's augmentation draws from its own derived stream.
+A step or a validation pass that leaves the loss or a trainable parameter
+non-finite stops the run with a DivergenceError naming the epoch, the step
+and the loss or the parameter.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import numpy as np
 from . import model as model_mod
 from . import nn
 from .data import AugmentParams, LabeledDataset, RasterImage, augment, image_to_tensor
-from .errors import DatasetError, ShapeError
+from .errors import DatasetError, DivergenceError, ShapeError
 from .metrics import ConfusionMatrix
 from .model import Model
 from .tensor import Tensor
@@ -129,6 +132,18 @@ def _stack_batch(ds: LabeledDataset, idxs, size: int, aug: AugmentParams | None,
     return Tensor._wrap(np.stack(xs)), ys
 
 
+def _check_finite(where: str, loss: float, params: dict[str, Tensor],
+                  trainable: dict[str, bool]) -> None:
+    """Stop a diverging run: raise DivergenceError naming the loss, or the
+    first trainable parameter, that is not finite."""
+    if not np.isfinite(loss):
+        raise DivergenceError(f"training diverged at {where}: the loss is {loss}")
+    for name, t in params.items():
+        if trainable[name] and not np.isfinite(t.array).all():
+            raise DivergenceError(f"training diverged at {where}: "
+                                  f"parameter {name!r} holds non-finite values")
+
+
 def _check_datasets(model: Model, *datasets: LabeledDataset):
     for ds in datasets:
         if len(ds) == 0:
@@ -157,14 +172,19 @@ def train(model: Model, train_ds: LabeledDataset, val_ds: LabeledDataset,
         for step, idxs in enumerate(_batches(len(train_ds), cfg.batch_size,
                                              cfg.steps_per_epoch, rng)):
             batch, targets = _stack_batch(train_ds, idxs, model.spec.input_size, aug, epoch, step)
-            loss, probs, grads = model_mod.loss_and_gradients(model, batch, targets)
-            params, velocity = sgd_step(model.params, grads, velocity,
-                                        cfg.learning_rate, cfg.momentum, model.trainable)
+            # overflow is caught by the check below, not warned about
+            with np.errstate(over="ignore", invalid="ignore"):
+                loss, probs, grads = model_mod.loss_and_gradients(model, batch, targets)
+                params, velocity = sgd_step(model.params, grads, velocity,
+                                            cfg.learning_rate, cfg.momentum, model.trainable)
+            _check_finite(f"epoch {epoch + 1}, step {step + 1}", loss, params, model.trainable)
             model = replace(model, params=params)
             loss_sum += loss
             seen += len(targets)
             correct += int(np.sum(np.argmax(probs.array, axis=1) == np.asarray(targets)))
-        val_cm, val_loss = _evaluate_with_loss(model, val_ds, cfg.batch_size)
+        with np.errstate(over="ignore", invalid="ignore"):
+            val_cm, val_loss = _evaluate_with_loss(model, val_ds, cfg.batch_size)
+        _check_finite(f"epoch {epoch + 1}, validation", val_loss, {}, {})
         history.epochs.append(EpochStats(
             train_loss=loss_sum / cfg.steps_per_epoch,
             train_acc=correct / seen,

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from synth_data import solid_image
+from synth_data import solid_image, texture_image, write_tree
 
 from defectnet.cli import DEFAULTS, main
 from defectnet.data import encode_ppm
@@ -205,10 +205,10 @@ def dataset_tree(root, edits):
                 d.write_bytes(junk)
 
 
-def train_on(work, data_dir):
+def train_on(work, data_dir, **overrides):
     # a batch larger than the tree, so the one step reads every training photo
     lines = {**CONFIG, "input_size": TILE, "batch_size": 32,
-             "data_dir": data_dir, "out_dir": work / "run"}
+             "data_dir": data_dir, "out_dir": work / "run", **overrides}
     (work / "tree.cfg").write_text("".join(f"{k} = {v}\n" for k, v in lines.items()))
     return ["train", "--config", str(work / "tree.cfg")]
 
@@ -236,3 +236,40 @@ def test_wrong_sized_photo_is_named(work, labels):
         assert main(train_on(work, work / "tree")) == 3
     line, = err.getvalue().splitlines()
     assert str(work / "tree") in line and "is 16x16, the model takes 8x8" in line
+
+
+def one_error_line(argv) -> str:
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    line, = err.getvalue().splitlines()
+    return f"{rc} {line}"
+
+
+def test_malformed_photo_is_named(work):
+    dataset_tree(work / "tree", [])
+    bad = work / "tree" / "mould" / "b.ppm"
+    bad.write_bytes(b"P5 junk")
+    (work / "m8").mkdir(exist_ok=True)
+    with open(work / "m8" / "model.dnw", "wb") as fh:
+        write_weights(build(ArchSpec(((1, 4),), GapHead(), 4, input_size=TILE), 0), fh)
+    (work / "m8" / "run.meta").write_text(f"input_size = {TILE}\n")
+    shutil.rmtree(work / "tiles", ignore_errors=True)
+    for argv in (["prepare", str(work / "tree"), str(work / "tiles"), "--tile", str(TILE)],
+                 train_on(work, work / "tree"),
+                 ["eval", str(work / "m8" / "model.dnw"), str(work / "tree"),
+                  "--out-csv", str(work / "cm.csv")]):
+        assert one_error_line(argv) == f"4 image error: {bad}: bad magic b'P5', " \
+                                       "expected b'P6' (byte offset 0)"
+
+
+@pytest.mark.filterwarnings("error")
+def test_diverging_train_exits_3_and_writes_nothing(work):
+    rng = np.random.default_rng(0)
+    write_tree(work / "textures", {name: [texture_image(k, SIZE, rng) for _ in range(4)]
+                                   for k, name in enumerate(LABEL_NAMES)})
+    shutil.rmtree(work / "run", ignore_errors=True)
+    argv = train_on(work, work / "textures", input_size=SIZE, batch_size=4,
+                    steps_per_epoch=3, learning_rate=1e30)
+    assert one_error_line(argv) == "3 error: training diverged at epoch 1, step 2: the loss is nan"
+    assert not (work / "run").exists()

@@ -335,3 +335,33 @@ class TestLossAndGradients:
 
         for name, value in p.items():
             assert_grad_close(grads[name].array, central_diff(f, value), name)
+
+    def test_first_conv_runs_no_d_input_gemm(self, monkeypatch):
+        """Nothing reads the gradient of the input batch, so block1.conv1 runs
+        only its d_w GEMMs, whose products have one row per filter; the other
+        convs run d_input too."""
+        spec = ArchSpec(((1, 4), (1, 8)), GapHead(), num_classes=4, in_channels=3, input_size=8)
+        rows: dict[tuple, set] = {}
+        current = []
+        real_backward, real_mm64 = nn.conv2d_backward, nn._mm64
+
+        def backward(x, p, d_out, **kwargs):
+            current.append(rows.setdefault(p.weights.shape, set()))
+            try:
+                return real_backward(x, p, d_out, **kwargs)
+            finally:
+                current.pop()
+
+        def mm64(a, b):
+            if current:
+                current[-1].add(a.shape[0])
+            return real_mm64(a, b)
+
+        monkeypatch.setattr(nn, "conv2d_backward", backward)
+        monkeypatch.setattr(nn, "_mm64", mm64)
+        x = Tensor(np.random.default_rng(4).uniform(0, 1, (2, 3, 8, 8)).astype(np.float32))
+        _, _, grads = loss_and_gradients(build(spec, seed=1), x, [0, 1])
+        assert set(grads) == {"block1.conv1.w", "block1.conv1.b", "block2.conv1.w",
+                              "block2.conv1.b", "head.out.w", "head.out.b"}
+        assert rows[(4, 3, 3, 3)] == {4}
+        assert rows[(8, 4, 3, 3)] - {8}

@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -134,6 +135,22 @@ BANDED_SHAPES = st.tuples(
 ).filter(lambda s: s[3] != s[4] and min(s[3], s[4]) + 2 * s[7] >= s[5])
 
 
+def d_input_reference(w, r, x_shape, stride, pad):
+    """d_input as a whole-matrix forward: d_out, zero-inserted between
+    strides and padded by k-1-pad (cut where that is negative), correlated
+    with the flipped filters, transposed, and a zero bias."""
+    n, c, h, wd = x_shape
+    o, _, k, _ = w.shape
+    lo = k - 1 - pad
+    spread = np.zeros((n, o, h + k - 1, wd + k - 1), dtype=np.float32)
+    for y in range(r.shape[2]):
+        for x in range(r.shape[3]):
+            if 0 <= lo + stride * y < h + k - 1 and 0 <= lo + stride * x < wd + k - 1:
+                spread[:, :, lo + stride * y, lo + stride * x] = r[:, :, y, x]
+    flipped = np.ascontiguousarray(w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3))
+    return im2col_ref.conv2d_forward(t32(spread), nn.ConvParams(t32(flipped), Tensor.zeros((c,))))
+
+
 def conv_both_ways(case, seed, chunk_bytes=None):
     """(banded, reference) results of forward and backward on one case."""
     x, w, b, r = conv_case(seed, *case)
@@ -143,8 +160,9 @@ def conv_both_ways(case, seed, chunk_bytes=None):
         if chunk_bytes is not None:
             mp.setattr(nn, "CHUNK_BYTES", chunk_bytes, raising=False)
         got = nn.conv2d_forward(t32(x), p), nn.conv2d_backward(t32(x), p, t32(r))
-    want = im2col_ref.conv2d_forward(t32(x), p), im2col_ref.conv2d_backward(t32(x), p, t32(r))
-    return got, want
+    grads = replace(im2col_ref.conv2d_backward(t32(x), p, t32(r)),
+                    d_input=d_input_reference(w, r, x.shape, stride, pad))
+    return got, (im2col_ref.conv2d_forward(t32(x), p), grads)
 
 
 def conv_bytes(out, grads):
@@ -153,7 +171,8 @@ def conv_bytes(out, grads):
 
 
 class TestConvMatchesWholeMatrixReference:
-    """The banded kernels keep the bits of one whole patch matrix per GEMM."""
+    """The banded kernels keep the bits of one whole patch matrix per GEMM;
+    d_input keeps those of the whole forward correlation that computes it."""
 
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(case=BANDED_SHAPES, chunk_bytes=st.sampled_from([None, 2048, 8192]),
@@ -184,10 +203,11 @@ class TestConvMatchesWholeMatrixReference:
                         st.integers(1, 180), st.sampled_from([0, 0, 0, 1, 4, 12])),
        chunk_bytes=st.sampled_from([2048, 65536, 1 << 20]), seed=st.integers(0, 2 ** 16))
 def test_bands_keep_the_float64_bits_of_the_whole_product(o, k, length, chunk_bytes, seed):
-    """The float64 products of the three conv GEMMs over the bands of
-    nn._bands equal the whole products. The conv outputs round these to
-    float32, which hides nearly every last-bit difference of a band that
-    meets another OpenBLAS kernel, so the bands are checked before that."""
+    """The float64 products of the conv GEMMs over the bands of nn._bands
+    equal the whole products: the forward's shape, which d_input shares,
+    and d_w's. The conv outputs round these to float32, which hides nearly
+    every last-bit difference of a band that meets another OpenBLAS
+    kernel, so the bands are checked before that."""
     rng = np.random.default_rng(seed)
     w = rng.normal(size=(o, k))
     cols = rng.normal(size=(k, length))
@@ -202,17 +222,15 @@ def test_bands_keep_the_float64_bits_of_the_whole_product(o, k, length, chunk_by
     whole = d_mat @ cols.T
     for a, b in row_bands:  # d_w: d_out @ cols.T, banded by patch rows
         assert np.array_equal(d_mat @ np.ascontiguousarray(cols[a:b]).T, whole[:, a:b])
-    whole = w.T @ d_mat
-    for a, b in col_bands:  # d_input: W.T @ d_out
-        assert np.array_equal(w.T @ d_mat[:, a:b], whole[:, a:b])
 
 
 def test_conv_peak_allocation_is_a_fraction_of_the_patch_matrix(monkeypatch):
     """With a 64 KB band cap, neither direction allocates a quarter of the
-    float64 patch matrix. The backward pass keeps two buffers whole, the
-    float64 d_out matrix and the float64 d_input accumulator, O/(C*k*k) and
-    about 1/(k*k) of the patch matrix, hence a 5x5 kernel; 16 input
-    channels make the 400 patch rows a multiple of 16, so d_w splits too."""
+    float64 patch matrix. The backward pass keeps whole the float64 d_out
+    matrix, O/(C*k*k) of the patch matrix, and the float32 spread d_out
+    that d_input correlates and d_input itself, about 1/(2*k*k) each,
+    hence a 5x5 kernel; 16 input channels make the 400 patch rows a
+    multiple of 16, so d_w splits too."""
     monkeypatch.setattr(nn, "CHUNK_BYTES", 64 << 10, raising=False)
     x, w, b, r = conv_case(0, 2, 16, 16, 96, 96, 5, 1, 2)
     p = nn.ConvParams(t32(w), t32(b), padding=2)
