@@ -28,13 +28,13 @@ from defectnet.model import arch_preset, build, forward, loss_and_gradients
 from defectnet.tensor import Tensor
 
 TRAIN_DIGESTS = {
-    "gap": "b84712043a6b7ba8b5c3e31eced46d0d19854393d261b676211cfe1e207cda21",
-    "fc": "1cfe92b4b3105fbe370cf2a35b3686b4b2408a3780557abcd8c3f4d9222c10b8",
+    "gap": "d6a2bd462740e90d19fd852dfa9d047453a4aa5e15d965512e1d39d7ff12c6fe",
+    "fc": "601e050464abba1513a5444d722ce8d06928873fa71ff95a1e2c0805fa32d3d6",
 }
 
 VGG16_LOGITS_DIGEST = "ddd6c4c3cf84473b79bf98d499745573bf9f8b7517dbd906b96f85432df76d54"
 
-VGG16_GRADIENTS_DIGEST = "2ca6d61819c5187f17eb6930b03a8c7dc7da31df2f53de2485030c8fb6e2f37a"
+VGG16_GRADIENTS_DIGEST = "c404652897d184a084eb8bc86924ef5ab00d8e4f46e78318789ad43e6d284557"
 
 
 def _train_digest(tmp_path, head: str) -> str:
