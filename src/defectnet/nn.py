@@ -73,7 +73,9 @@ def _conv_geometry(x_shape, p: ConvParams):
     oh = (h + 2 * p.padding - kh) // p.stride + 1
     ow = (w + 2 * p.padding - kw) // p.stride + 1
     if oh < 1 or ow < 1 or h + 2 * p.padding < kh or w + 2 * p.padding < kw:
-        raise ShapeError(f"kernel {kh}x{kw} (pad {p.padding}) does not fit input {h}x{w}")
+        raise ShapeError(
+            f"kernel {kh}x{kw} (pad {p.padding}) does not fit input {h}x{w}"
+        )
     return n, c, h, w, out_ch, kh, kw, oh, ow
 
 
@@ -227,8 +229,7 @@ def conv2d_backward(x: Tensor, p: ConvParams, d_out: Tensor, with_input=True) ->
         d_w[:, r0:r1] = _mm64(d_mat, rows.T)
     del xp, buf, d_mat
 
-    # d_input correlates d_out, zero-inserted and padded by kh-1-pad, with
-    # the flipped filters, transposed to (C, O*kh*kw), and a zero bias.
+    # d_input: d_out, zero-inserted and padded by kh-1-pad, correlated with flipped W.T
     d_input = None
     if with_input:
         wt64 = p.weights.array[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c, -1).astype(np.float64)
