@@ -206,6 +206,20 @@ def _writing(path):
         raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
+@contextmanager
+def _serving(path):
+    """Run the forwards of the model loaded from path with float overflow
+    unwarned. Finite weights can still overflow float32; model.forward then
+    rejects the logits, and the error names the archive. CAM maps are
+    finite wherever the logits of a GAP head are."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            yield
+        except DivergenceError as exc:
+            raise ArchiveError(f"model archive {path}: {exc} "
+                               "(its weights overflow float32)") from None
+
+
 def _require_image(path, size: int):
     img = read_ppm(path)
     if (img.width, img.height) != (size, size):
@@ -352,7 +366,8 @@ def cmd_eval(args) -> int:
         ds = load_dataset(args.test_dir)
         for w in ds.warnings:
             print(f"warning: {w}")
-        cm = evaluate(net, ds)
+        with _serving(args.model):
+            cm = evaluate(net, ds)
     rep = metrics.report(cm)
     sys.stdout.write(metrics.render_text(rep))
     with _writing(args.out_csv) as path:
@@ -364,7 +379,8 @@ def cmd_eval(args) -> int:
 def cmd_predict(args) -> int:
     net = load_model(args.model)
     img = _require_image(args.image, net.spec.input_size)
-    label, probs = model_mod.predict(net, image_to_tensor(img))
+    with _serving(args.model):
+        label, probs = model_mod.predict(net, image_to_tensor(img))
     p = probs.array
     print(f"{LABEL_NAMES[label]} p_det={p[0]:.4f} p_mould={p[1]:.4f} "
           f"p_normal={p[2]:.4f} p_stain={p[3]:.4f}")
@@ -385,12 +401,13 @@ def cmd_cam(args) -> int:
     head_w = model_mod.gap_head_weights(net)
     img = _require_image(args.image, net.spec.input_size)
     x = image_to_tensor(img)
-    if class_idx is None:
-        class_idx, _ = model_mod.predict(net, x)
-    batch = Tensor._wrap(np.ascontiguousarray(x.array[None]))
-    trace = model_mod.forward(net, batch)
-    heat = cam_mod.compute_cam(trace, head_w, class_idx,
-                               source_size=(img.height, img.width))
+    with _serving(args.model):
+        if class_idx is None:
+            class_idx, _ = model_mod.predict(net, x)
+        batch = Tensor._wrap(np.ascontiguousarray(x.array[None]))
+        trace = model_mod.forward(net, batch)
+        heat = cam_mod.compute_cam(trace, head_w, class_idx,
+                                   source_size=(img.height, img.width))
     region = cam_mod.bounding_region(heat, args.threshold) if not heat.degenerate else None
     up = cam_mod.upsample(heat, (img.height, img.width))
     blended = cam_mod.overlay(up, x, args.alpha)

@@ -27,7 +27,7 @@ class PpmParseError(ValueError):
 
 
 class DivergenceError(ValueError):
-    """Training produced a non-finite loss or parameter."""
+    """A model produced non-finite values: a training loss or parameter, or logits."""
 
 
 class ImageSizeError(ValueError):

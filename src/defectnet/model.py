@@ -25,7 +25,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import nn
-from .errors import CapabilityError, ShapeError
+from .errors import CapabilityError, DivergenceError, ShapeError
 from .tensor import Tensor
 
 KERNEL = 3  # all convolutions are 3x3, same-padded; spatial size changes only at pools
@@ -314,17 +314,27 @@ def _run(model: Model, batch: Tensor, tape=None) -> ForwardTrace:
 
 
 def forward(model: Model, batch: Tensor) -> ForwardTrace:
-    return _run(model, batch)
+    """Forward pass. Finite weights can still overflow float32: logits that
+    are not finite raise DivergenceError."""
+    trace = _run(model, batch)
+    if not np.isfinite(trace.logits.array).all():
+        raise DivergenceError("the logits are not finite")
+    return trace
 
 
 def loss_and_gradients(model: Model, batch: Tensor, targets) -> tuple[float, Tensor, dict[str, Tensor]]:
-    """One forward/backward pass: (mean loss, probs, gradient per parameter)."""
+    """One forward/backward pass: (mean loss, probs, gradient per parameter).
+
+    Each (layer, ctx) leaves the tape as its backward runs, so an
+    activation is freed once no layer below still reads it.
+    """
     tape: list = []
     trace = _run(model, batch, tape)
     loss = nn.cross_entropy(trace.probs, targets)
     grads: dict[str, Tensor] = {}
     d = nn.cross_entropy_backward(trace.probs, targets)
-    for layer, ctx in reversed(tape):
+    while tape:
+        layer, ctx = tape.pop()
         d, layer_grads = layer.backward(ctx, d)
         grads.update(layer_grads)
     return loss, trace.probs, grads

@@ -9,11 +9,13 @@ its input is. Convolution runs as im2col + matmul (the naive
 sliding-window loop is kept as an oracle in the test suite) over the
 float64 patch matrix [C*kh*kw x N*oh*ow], rows in (c, i, j) and columns
 in (n, y, x) order, which _tap_walk gathers from a padded (C, N, H, W)
-copy of the input. Each GEMM runs over bands of that matrix of at most
-CHUNK_BYTES, save the exceptions listed at _bands, and every band keeps
-the bits of the one whole product. One correlation, _correlate, serves
-the forward and d_input: d_input correlates d_out, zero-inserted and
-padded, with the flipped, transposed filters, and rounds once.
+copy of the input. One band walk, _patch_bands, yields that matrix in
+bands of patch columns of at most CHUNK_BYTES, save the exceptions listed
+at _bands. One correlation, _correlate, serves the forward and d_input,
+and each of its bands keeps the bits of the one whole product: d_input
+correlates d_out, zero-inserted and padded, with the flipped, transposed
+filters, and rounds once. d_w sums d_out @ cols.T over the same bands in
+float64 and rounds once.
 """
 
 from __future__ import annotations
@@ -85,8 +87,8 @@ less slowed 64-px training at batch 8 by about 15%: glibc then returned
 the band buffers to the OS between calls and faulted them back in 4 KiB
 pages on the next call."""
 
-# A band's product keeps the bits of the whole product only where each of
-# its columns meets the same OpenBLAS dgemm micro-kernel as in the whole.
+# A correlation's band keeps the bits of the whole product only where each
+# of its columns meets the same OpenBLAS dgemm micro-kernel as in the whole.
 # So bands start at multiples of the micro-kernel width (4, 8 or 16 on
 # x86-64), a product whose band dimension ends in a partial micro-panel is
 # never split (the kernel of that tail depends on the blocking around it),
@@ -97,7 +99,7 @@ _SMALL_GEMM = 100 ** 3
 
 
 def _bands(length: int, line_bytes: int, other: int) -> list[tuple[int, int]]:
-    """Split the output columns [0, length) of one GEMM into near-equal bands.
+    """Split the patch columns [0, length) of one GEMM into near-equal bands.
 
     line_bytes is the float64 operand size of one column and other the
     product of the GEMM's two other dimensions. Each band holds at most
@@ -153,43 +155,41 @@ def _padded(x: np.ndarray, pad: int) -> np.ndarray:
     return xp
 
 
-def _band_buffer(bands, line: int) -> np.ndarray:
-    """One float64 buffer for the widest band, reused by every band of a call."""
-    return np.empty(line * max(b - a for a, b in bands), dtype=np.float64)
-
-
-def _tap_walk(block: np.ndarray, r0: int, xp: np.ndarray, kh, kw, stride, boxes):
-    """Fill rows [r0, r0 + len(block)) of a band of the patch matrix
-    [C*kh*kw x N*oh*ow] from the padded (C, N, H, W) input they read,
-    tap (i, j) by tap, then box by box over the band's columns."""
+def _tap_walk(cols: np.ndarray, xp: np.ndarray, kh, kw, stride, boxes):
+    """Fill a band of the patch matrix [C*kh*kw x N*oh*ow] from the padded
+    (C, N, H, W) input it reads, tap (i, j) by tap, then box by box over
+    the band's columns."""
     taps = kh * kw
-    r1 = r0 + len(block)
     for t in range(taps):
         i, j = divmod(t, kw)
-        c0 = max(0, -(-(r0 - t) // taps))  # channels c with r0 <= c*taps + t < r1
-        c1 = -(-(r1 - t) // taps)
-        if c0 < c1:
-            rows = block[c0 * taps + t - r0 :: taps]
-            for off, box in boxes:
-                n0, n1, y0, y1, x0, x1 = box
-                _band_view(rows, off, box)[...] = xp[
-                    c0:c1, n0:n1, i + stride * y0 : i + stride * y1 : stride,
-                    j + stride * x0 : j + stride * x1 : stride]
+        rows = cols[t::taps]
+        for off, box in boxes:
+            n0, n1, y0, y1, x0, x1 = box
+            _band_view(rows, off, box)[...] = xp[
+                :, n0:n1, i + stride * y0 : i + stride * y1 : stride,
+                j + stride * x0 : j + stride * x1 : stride]
+
+
+def _patch_bands(xp: np.ndarray, out_ch, kh, kw, stride, oh, ow):
+    """Yield (boxes, cols) for each band of the float64 patch matrix of a
+    padded (C, N, H, W) input that a GEMM with out_ch output rows reads,
+    in ascending column order; every band reuses one buffer."""
+    k, m = xp.shape[0] * kh * kw, xp.shape[1] * oh * ow
+    bands = _bands(m, 8 * k, out_ch * k)
+    buf = np.empty(k * max(b - a for a, b in bands), dtype=np.float64)
+    for m0, m1 in bands:
+        boxes = _boxes(m0, m1, oh, ow)
+        cols = buf[: k * (m1 - m0)].reshape(k, m1 - m0)
+        _tap_walk(cols, xp, kh, kw, stride, boxes)
+        yield boxes, cols
 
 
 def _correlate(xp: np.ndarray, w64: np.ndarray, bias, kh, kw, stride, oh, ow) -> np.ndarray:
     """NCHW float32 out[n,o,y,x] = bias[o] + sum over c,i,j of
     xp[c,n,y*stride+i,x*stride+j] * w64[o,(c,i,j)], for a padded
     (C, N, H, W) input: one _mm64 per band of the patch matrix."""
-    out_ch, k = w64.shape
-    n = xp.shape[1]
-    out = np.empty((n, out_ch, oh, ow), dtype=np.float32)
-    bands = _bands(n * oh * ow, 8 * k, out_ch * k)
-    buf = _band_buffer(bands, k)
-    for m0, m1 in bands:
-        boxes = _boxes(m0, m1, oh, ow)
-        cols = buf[: k * (m1 - m0)].reshape(k, m1 - m0)
-        _tap_walk(cols, 0, xp, kh, kw, stride, boxes)
+    out = np.empty((xp.shape[1], len(w64), oh, ow), dtype=np.float32)
+    for boxes, cols in _patch_bands(xp, len(w64), kh, kw, stride, oh, ow):
         band = _mm64(w64, cols) + bias[:, None]
         for off, box in boxes:
             n0, n1, y0, y1, x0, x1 = box
@@ -214,20 +214,20 @@ def conv2d_backward(x: Tensor, p: ConvParams, d_out: Tensor, with_input=True) ->
     n, c, h, w, out_ch, kh, kw, oh, ow = _conv_geometry(x.shape, p)
     if d_out.shape != (n, out_ch, oh, ow):
         raise ShapeError(f"d_out shape {d_out.shape} != forward output ({n}, {out_ch}, {oh}, {ow})")
-    k, m, s, pad = c * kh * kw, n * oh * ow, p.stride, p.padding
-    d_mat = np.ascontiguousarray(d_out.array.transpose(1, 0, 2, 3), dtype=np.float64).reshape(out_ch, m)
+    s, pad = p.stride, p.padding
     d_bias = np.sum(d_out.array, axis=(0, 2, 3), dtype=np.float64).astype(np.float32)
 
-    # d_w, a band of patch rows at a time; the inner dimension m is never split.
-    xp = _padded(x.array, pad)
-    d_w = np.empty((out_ch, k), dtype=np.float32)
-    bands = _bands(k, 8 * m, out_ch * m)
-    buf = _band_buffer(bands, m)
-    for r0, r1 in bands:
-        rows = buf[: (r1 - r0) * m].reshape(r1 - r0, m)
-        _tap_walk(rows, r0, xp, kh, kw, s, _boxes(0, m, oh, ow))
-        d_w[:, r0:r1] = _mm64(d_mat, rows.T)
-    del xp, buf, d_mat
+    # d_w: d_out @ cols.T over the forward's bands of patch columns, summed
+    # in float64 in ascending band order and rounded once.
+    d_t = d_out.array.transpose(1, 0, 2, 3)
+    d_w = np.zeros((out_ch, c * kh * kw), dtype=np.float64)
+    for boxes, cols in _patch_bands(_padded(x.array, pad), out_ch, kh, kw, s, oh, ow):
+        d_band = np.empty((out_ch, cols.shape[1]), dtype=np.float64)
+        for off, box in boxes:
+            n0, n1, y0, y1, x0, x1 = box
+            _band_view(d_band, off, box)[...] = d_t[:, n0:n1, y0:y1, x0:x1]
+        d_w += _mm64(d_band, cols.T, np.float64)
+    del cols, d_band
 
     # d_input: d_out, zero-inserted and padded by kh-1-pad, correlated with flipped W.T
     d_input = None
@@ -239,7 +239,7 @@ def conv2d_backward(x: Tensor, p: ConvParams, d_out: Tensor, with_input=True) ->
         d_input = Tensor._wrap(_correlate(dz, wt64, np.zeros(c, np.float32), kh, kw, 1, h, w))
     return LayerGradients(
         d_input=d_input,
-        d_params={"weights": Tensor._wrap(d_w.reshape(out_ch, c, kh, kw)),
+        d_params={"weights": Tensor._wrap(d_w.astype(np.float32).reshape(out_ch, c, kh, kw)),
                   "bias": Tensor._wrap(d_bias)},
     )
 

@@ -81,10 +81,11 @@ class Tensor:
         return f"Tensor(shape={list(self.shape)})"
 
 
-def _mm64(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """float32 matrix product with 64-bit accumulation.
+def _mm64(a: np.ndarray, b: np.ndarray, dtype=np.float32) -> np.ndarray:
+    """Matrix product with 64-bit accumulation, rounded to float32 unless
+    dtype asks for the float64 product (for a sum that rounds once).
 
     Operands already in float64 (the conv patch matrices) pass through
     without a copy; float32 operands are widened first.
     """
-    return (a.astype(np.float64, copy=False) @ b.astype(np.float64, copy=False)).astype(np.float32)
+    return (a.astype(np.float64, copy=False) @ b.astype(np.float64, copy=False)).astype(dtype, copy=False)

@@ -182,9 +182,12 @@ def train(model: Model, train_ds: LabeledDataset, val_ds: LabeledDataset,
             loss_sum += loss
             seen += len(targets)
             correct += int(np.sum(np.argmax(probs.array, axis=1) == np.asarray(targets)))
-        with np.errstate(over="ignore", invalid="ignore"):
-            val_cm, val_loss = _evaluate_with_loss(model, val_ds, cfg.batch_size)
-        _check_finite(f"epoch {epoch + 1}, validation", val_loss, {}, {})
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                val_cm, val_loss = _evaluate_with_loss(model, val_ds, cfg.batch_size)
+        except DivergenceError as exc:
+            raise DivergenceError(f"training diverged at epoch {epoch + 1}, validation: "
+                                  f"{exc}") from None
         history.epochs.append(EpochStats(
             train_loss=loss_sum / cfg.steps_per_epoch,
             train_acc=correct / seen,

@@ -61,8 +61,10 @@ def dnw(*entries) -> bytes:
     return b"".join(out)
 
 
-def archive(num_classes=4, first_weight=None) -> bytes:
+def archive(num_classes=4, first_weight=None, scale=None) -> bytes:
     m = build(ArchSpec(((1, 4),), GapHead(), num_classes, input_size=SIZE), 0)
+    if scale is not None:
+        m = replace(m, params={n: Tensor(t.array * np.float32(scale)) for n, t in m.params.items()})
     if first_weight is not None:
         w = m.params["block1.conv1.w"].array.copy()
         w.flat[0] = first_weight
@@ -143,6 +145,37 @@ def test_ppm_headers(work, ppm):
 def test_dnw_archives(work, model):
     (work / "mutated.dnw").write_bytes(model)
     assert run(["predict", str(work / "mutated.dnw"), str(work / "image.ppm")]) in (0, 3)
+
+
+def serve(work, command, model):
+    """argv of a serving command on one 16-px image, or on a tree of them."""
+    tree = work / "served"
+    if not tree.exists():
+        write_tree(tree, {name: [solid_image(SIZE, (30 * k, 60, 90))]
+                          for k, name in enumerate(LABEL_NAMES)})
+    return {"predict": ["predict", str(model), str(work / "image.ppm")],
+            "cam": ["cam", str(model), str(work / "image.ppm"), str(work / "cam.ppm")],
+            "eval": ["eval", str(model), str(tree), "--out-csv", str(work / "cm.csv")]}[command]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(command=st.sampled_from(["predict", "cam", "eval"]), scale=st.floats(1e-30, 1e30))
+@example(command="predict", scale=1e20)
+@example(command="cam", scale=1e20)
+@example(command="eval", scale=1e20)
+@pytest.mark.filterwarnings("error")
+def test_archives_with_large_weights(work, command, scale):
+    # weights finite in float32 whose products may overflow it
+    (work / "scaled.dnw").write_bytes(archive(scale=scale))
+    assert run(serve(work, command, work / "scaled.dnw")) in (0, 3)
+
+
+@pytest.mark.parametrize("command", ["predict", "cam", "eval"])
+def test_overflowing_archive_is_named(work, command):
+    (work / "huge.dnw").write_bytes(archive(scale=1e20))
+    assert one_error_line(serve(work, command, work / "huge.dnw")) == (
+        f"3 error: model archive {work / 'huge.dnw'}: the logits are not finite "
+        "(its weights overflow float32)")
 
 
 @FAST

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from defectnet import nn
-from defectnet.errors import CapabilityError, ShapeError
+from defectnet.errors import CapabilityError, DivergenceError, ShapeError
 from defectnet.model import (ArchSpec, FcHead, GapHead, arch_preset, build,
                              forward, gap_head_weights, loss_and_gradients,
                              param_block, predict, replace_head,
@@ -188,6 +188,16 @@ class TestForward:
         assert trace.logits.shape == (2, 4)
         assert trace.final_conv_maps.shape == (2, 4, 4, 4)
 
+    def test_overflowing_logits_raise_divergence_error(self):
+        # finite weights whose products overflow float32
+        from dataclasses import replace
+        m = build(TOY, seed=0)
+        m = replace(m, params={n: Tensor(t.array * np.float32(1e20)) for n, t in m.params.items()})
+        x = Tensor(np.random.default_rng(6).uniform(0, 1, (1, 3, 8, 8)).astype(np.float32))
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(DivergenceError, match="the logits are not finite"):
+            forward(m, x)
+
 
 class TestPredict:
     def test_argmax_of_crafted_probs(self):
@@ -307,6 +317,49 @@ class TestLossAndGradients:
         for k in relus:
             assert tape[k][1].array is received[k + 1]
 
+    def test_backward_frees_each_ctx_once_no_layer_below_reads_it(self, monkeypatch):
+        """When a layer's backward runs, the ctx arrays of the layers above it
+        are gone, save those that a layer at or below it keeps as well (a
+        ReLU's output is the next layer's input)."""
+        import weakref
+
+        import defectnet.model as model_mod
+
+        refs: list[list] = []  # per layer in forward order: its ctx arrays
+        leaks = []
+        spec = ArchSpec(((2, 2), (1, 4)), FcHead((3,)), num_classes=3, in_channels=1,
+                        input_size=8)
+        m = build(spec, seed=9)
+        params = {id(t.array) for t in m.params.values()}
+
+        class Recorder:
+            def __init__(self, layer):
+                self.layer = layer
+
+            def forward(self, params_, x):
+                y, ctx = self.layer.forward(params_, x)
+                self.index = len(refs)
+                parts = [getattr(c, "array", getattr(c, "window_argmax", None))
+                         for c in (ctx if isinstance(ctx, tuple) else (ctx,))]
+                refs.append([weakref.ref(a) for a in parts
+                             if isinstance(a, np.ndarray) and id(a) not in params])
+                return y, ctx
+
+            def backward(self, ctx, dy):
+                alive = [{id(r()) for r in layer_refs if r() is not None} for layer_refs in refs]
+                below = set().union(*alive[: self.index + 1])
+                leaks.extend((self.index, j) for j in range(self.index + 1, len(refs))
+                             if alive[j] - below)
+                return self.layer.backward(ctx, dy)
+
+        real = model_mod.layers
+        monkeypatch.setattr(model_mod, "layers",
+                            lambda s: tuple([Recorder(l) for l in part] for part in real(s)))
+        x = np.random.default_rng(3).normal(size=(2, 1, 8, 8)).astype(np.float32)
+        loss_and_gradients(m, Tensor(x), [0, 2])
+        assert len(refs) == 12 and all(refs[:8])
+        assert leaks == []
+
     @pytest.mark.parametrize("head", [GapHead(), FcHead((3,))], ids=["gap", "fc"])
     def test_whole_model_gradient_matches_finite_differences(self, head):
         # end-to-end check through conv+relu+pool, then gap+dense or
@@ -352,10 +405,10 @@ class TestLossAndGradients:
             finally:
                 current.pop()
 
-        def mm64(a, b):
+        def mm64(a, b, *dtype):
             if current:
                 current[-1].add(a.shape[0])
-            return real_mm64(a, b)
+            return real_mm64(a, b, *dtype)
 
         monkeypatch.setattr(nn, "conv2d_backward", backward)
         monkeypatch.setattr(nn, "_mm64", mm64)

@@ -1,5 +1,10 @@
+import hashlib
+import os
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +15,7 @@ from hypothesis import strategies as st
 from naive_ops import (naive_conv2d, naive_dense, naive_gap,
                        naive_softmax_ce)
 
+import defectnet
 from defectnet import nn
 from defectnet.errors import ShapeError
 from defectnet.tensor import Tensor, _mm64
@@ -183,18 +189,23 @@ class TestConvMatchesWholeMatrixReference:
 
     def test_small_cap_splits_every_gemm(self, monkeypatch):
         """A case whose three GEMMs all split into several bands under a 2 KB cap."""
-        widths = []
+        calls = []
 
-        def counting_mm64(a, b):
-            widths.append(b.shape[1])
-            return _mm64(a, b)
+        def counting_mm64(a, b, dtype=np.float32):
+            # the banded dimension: d_w (the one float64 product) sums over it
+            calls.append((dtype, a.shape[1] if dtype == np.float64 else b.shape[1]))
+            return _mm64(a, b, dtype)
 
         monkeypatch.setattr(nn, "_mm64", counting_mm64)
         got, want = conv_both_ways((2, 32, 32, 16, 20, 3, 1, 1), seed=7, chunk_bytes=2048)
         assert conv_bytes(*got) == conv_bytes(*want)
-        # forward bands, then d_w row bands, then d_input bands (2 * 16 * 20 columns)
-        assert len(widths) >= 9 and sum(widths) == 640 + 288 + 640
-        assert max(widths) < 288
+        # forward bands, then d_w bands, then d_input bands, each over 2 * 16 * 20 columns
+        kinds = [dtype for dtype, _ in calls]
+        first, last = kinds.index(np.float64), len(kinds) - kinds[::-1].index(np.float64)
+        widths = [w for _, w in calls]
+        for phase in (widths[:first], widths[first:last], widths[last:]):
+            assert len(phase) >= 3 and sum(phase) == 640
+        assert set(kinds[first:last]) == {np.float64}
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -203,34 +214,30 @@ class TestConvMatchesWholeMatrixReference:
                         st.integers(1, 180), st.sampled_from([0, 0, 0, 1, 4, 12])),
        chunk_bytes=st.sampled_from([2048, 65536, 1 << 20]), seed=st.integers(0, 2 ** 16))
 def test_bands_keep_the_float64_bits_of_the_whole_product(o, k, length, chunk_bytes, seed):
-    """The float64 products of the conv GEMMs over the bands of nn._bands
-    equal the whole products: the forward's shape, which d_input shares,
-    and d_w's. The conv outputs round these to float32, which hides nearly
-    every last-bit difference of a band that meets another OpenBLAS
-    kernel, so the bands are checked before that."""
+    """The float64 products of the correlations over the bands of nn._bands
+    equal the whole product: the forward's shape, which d_input shares.
+    The conv outputs round these to float32, which hides nearly every
+    last-bit difference of a band that meets another OpenBLAS kernel, so
+    the bands are checked before that. d_w is a float64 sum over the same
+    pixel bands, rounded once, so only the correlations keep the whole
+    product's float64 bits."""
     rng = np.random.default_rng(seed)
     w = rng.normal(size=(o, k))
     cols = rng.normal(size=(k, length))
-    d_mat = rng.normal(size=(o, length))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(nn, "CHUNK_BYTES", chunk_bytes)
         col_bands = nn._bands(length, 8 * k, o * k)
-        row_bands = nn._bands(k, 8 * length, o * length)
     whole = w @ cols
-    for a, b in col_bands:  # forward: W @ cols
+    for a, b in col_bands:
         assert np.array_equal(w @ np.ascontiguousarray(cols[:, a:b]), whole[:, a:b])
-    whole = d_mat @ cols.T
-    for a, b in row_bands:  # d_w: d_out @ cols.T, banded by patch rows
-        assert np.array_equal(d_mat @ np.ascontiguousarray(cols[a:b]).T, whole[:, a:b])
 
 
 def test_conv_peak_allocation_is_a_fraction_of_the_patch_matrix(monkeypatch):
-    """With a 64 KB band cap, neither direction allocates a quarter of the
-    float64 patch matrix. The backward pass keeps whole the float64 d_out
-    matrix, O/(C*k*k) of the patch matrix, and the float32 spread d_out
-    that d_input correlates and d_input itself, about 1/(2*k*k) each,
-    hence a 5x5 kernel; 16 input channels make the 400 patch rows a
-    multiple of 16, so d_w splits too."""
+    """With a 64 KB band cap, neither direction allocates a twelfth of the
+    float64 patch matrix. Whole arrays that the backward pass keeps are
+    float32 and hold one value per pixel and channel: the padded input
+    that d_w reads, the spread d_out that d_input correlates, and d_input
+    itself, about 1/(2*k*k) of the patch matrix each, hence a 5x5 kernel."""
     monkeypatch.setattr(nn, "CHUNK_BYTES", 64 << 10, raising=False)
     x, w, b, r = conv_case(0, 2, 16, 16, 96, 96, 5, 1, 2)
     p = nn.ConvParams(t32(w), t32(b), padding=2)
@@ -243,7 +250,40 @@ def test_conv_peak_allocation_is_a_fraction_of_the_patch_matrix(monkeypatch):
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < patch_bytes / 4
+        assert peak < patch_bytes / 12
+
+
+# Shapes whose whole products end in a partial 16-column micro-panel, the
+# ones on which OpenBLAS's float64 sums can depend on the thread count:
+# d_w over 27 patch rows (3 input channels, 3x3), and forwards 196 and 588
+# columns wide (the block-5 maps of paper-vgg16 at 224 px, batch 1 and 3).
+THREAD_CASES = [(2, 3, 32, 32, 32, 3, 1, 1), (1, 256, 256, 14, 14, 3, 1, 1),
+                (3, 256, 256, 14, 14, 3, 1, 1)]
+
+
+def thread_case_digests() -> list[tuple[str, str]]:
+    """(banded, reference) sha256 of forward, d_input, d_w and d_bias per case."""
+    digests = []
+    for seed, case in enumerate(THREAD_CASES):
+        got, want = conv_both_ways(case, seed)
+        digests.append(tuple(hashlib.sha256(b"".join(conv_bytes(*pair))).hexdigest()
+                             for pair in (got, want)))
+    return digests
+
+
+def test_conv_bits_do_not_depend_on_blas_threads():
+    src = Path(defectnet.__file__).resolve().parents[1]
+    runs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join([str(Path(__file__).parent), str(src)]))
+        code = "import test_nn as t; print(t.thread_case_digests())"
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True, timeout=300).stdout
+        runs.append(eval(out))
+    for digests in runs:
+        assert all(got == want for got, want in digests)
+    assert runs[0] == runs[1]
 
 
 class TestMaxPool:
