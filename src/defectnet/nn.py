@@ -234,7 +234,7 @@ def conv2d_backward(x: Tensor, p: ConvParams, d_out: Tensor, with_input=True) ->
     if with_input:
         wt64 = p.weights.array[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c, -1).astype(np.float64)
         dz = np.zeros((out_ch, n, h + 2 * pad + kh - 1, w + 2 * pad + kw - 1), dtype=np.float32)
-        dz[:, :, kh - 1 :: s, kw - 1 :: s][:, :, :oh, :ow] = d_out.array.transpose(1, 0, 2, 3)
+        dz[:, :, kh - 1 :: s, kw - 1 :: s][:, :, :oh, :ow] = d_t
         dz = dz[:, :, pad : pad + h + kh - 1, pad : pad + w + kw - 1]
         d_input = Tensor._wrap(_correlate(dz, wt64, np.zeros(c, np.float32), kh, kw, 1, h, w))
     return LayerGradients(
