@@ -8,10 +8,10 @@ inputs as their ctx; a ReLU keeps its output, which is positive where
 its input is. Convolution runs as im2col + matmul (the naive
 sliding-window loop is kept as an oracle in the test suite) over the
 float64 patch matrix [C*kh*kw x N*oh*ow], rows in (c, i, j) and columns
-in (n, y, x) order, which _tap_walk gathers from a padded (C, N, H, W)
-copy of the input. One band walk, _patch_bands, yields that matrix in
-bands of patch columns of at most CHUNK_BYTES, save the exceptions listed
-at _bands. One correlation, _correlate, serves the forward and d_input,
+in (n, y, x) order, gathered from a padded (C, N, H, W) copy of the
+input. One band walk, _patch_bands, yields that matrix, zero-padded to
+whole 16-column panels, in bands of patch columns of at most CHUNK_BYTES.
+One correlation, _correlate, serves the forward and d_input,
 and each of its bands keeps the bits of the one whole product: d_input
 correlates d_out, zero-inserted and padded, with the flipped, transposed
 filters, and rounds once. d_w sums d_out @ cols.T over the same bands in
@@ -90,25 +90,24 @@ pages on the next call."""
 # A correlation's band keeps the bits of the whole product only where each
 # of its columns meets the same OpenBLAS dgemm micro-kernel as in the whole.
 # So bands start at multiples of the micro-kernel width (4, 8 or 16 on
-# x86-64), a product whose band dimension ends in a partial micro-panel is
-# never split (the kernel of that tail depends on the blocking around it),
-# and no band falls to the M*N*K at or below which OpenBLAS switches to a
-# separate small-matrix kernel.
+# x86-64), the band dimension is zero-padded to whole panels (the kernel of
+# a partial tail panel depends on the blocking around it, and so on the
+# thread count), and no band falls to the M*N*K at or below which OpenBLAS
+# switches to a separate small-matrix kernel.
 _BAND_ALIGN = 16
 _SMALL_GEMM = 100 ** 3
 
 
 def _bands(length: int, line_bytes: int, other: int) -> list[tuple[int, int]]:
-    """Split the patch columns [0, length) of one GEMM into near-equal bands.
+    """Split the patch columns [0, length) of one GEMM, zero-padded to a
+    multiple of 16, into near-equal bands of whole 16-column units.
 
     line_bytes is the float64 operand size of one column and other the
     product of the GEMM's two other dimensions. Each band holds at most
     CHUNK_BYTES of operand, unless one 16-column unit or the small-matrix
     limit asks for more.
     """
-    if length % _BAND_ALIGN:
-        return [(0, length)]
-    units = length // _BAND_ALIGN
+    units = -(-length // _BAND_ALIGN)
     cap_units = max(1, CHUNK_BYTES // (line_bytes * _BAND_ALIGN))
     min_units = _SMALL_GEMM // (other * _BAND_ALIGN) + 1
     count = max(1, min(-(-units // cap_units), units // min_units))
@@ -155,32 +154,27 @@ def _padded(x: np.ndarray, pad: int) -> np.ndarray:
     return xp
 
 
-def _tap_walk(cols: np.ndarray, xp: np.ndarray, kh, kw, stride, boxes):
-    """Fill a band of the patch matrix [C*kh*kw x N*oh*ow] from the padded
-    (C, N, H, W) input it reads, tap (i, j) by tap, then box by box over
-    the band's columns."""
-    taps = kh * kw
-    for t in range(taps):
-        i, j = divmod(t, kw)
-        rows = cols[t::taps]
-        for off, box in boxes:
-            n0, n1, y0, y1, x0, x1 = box
-            _band_view(rows, off, box)[...] = xp[
-                :, n0:n1, i + stride * y0 : i + stride * y1 : stride,
-                j + stride * x0 : j + stride * x1 : stride]
-
-
 def _patch_bands(xp: np.ndarray, out_ch, kh, kw, stride, oh, ow):
     """Yield (boxes, cols) for each band of the float64 patch matrix of a
     padded (C, N, H, W) input that a GEMM with out_ch output rows reads,
-    in ascending column order; every band reuses one buffer."""
-    k, m = xp.shape[0] * kh * kw, xp.shape[1] * oh * ow
+    in ascending column order; every band reuses one buffer. The boxes
+    cover the band's real columns, and the columns past the last real one
+    are zero. Each band is filled tap (i, j) by tap, then box by box."""
+    taps = kh * kw
+    k, m = xp.shape[0] * taps, xp.shape[1] * oh * ow
     bands = _bands(m, 8 * k, out_ch * k)
     buf = np.empty(k * max(b - a for a, b in bands), dtype=np.float64)
     for m0, m1 in bands:
-        boxes = _boxes(m0, m1, oh, ow)
+        boxes = _boxes(m0, min(m1, m), oh, ow)
         cols = buf[: k * (m1 - m0)].reshape(k, m1 - m0)
-        _tap_walk(cols, xp, kh, kw, stride, boxes)
+        cols[:, m - m0 :] = 0
+        for t in range(taps):
+            i, j = divmod(t, kw)
+            for off, box in boxes:
+                n0, n1, y0, y1, x0, x1 = box
+                _band_view(cols[t::taps], off, box)[...] = xp[
+                    :, n0:n1, i + stride * y0 : i + stride * y1 : stride,
+                    j + stride * x0 : j + stride * x1 : stride]
         yield boxes, cols
 
 
@@ -222,7 +216,7 @@ def conv2d_backward(x: Tensor, p: ConvParams, d_out: Tensor, with_input=True) ->
     d_t = d_out.array.transpose(1, 0, 2, 3)
     d_w = np.zeros((out_ch, c * kh * kw), dtype=np.float64)
     for boxes, cols in _patch_bands(_padded(x.array, pad), out_ch, kh, kw, s, oh, ow):
-        d_band = np.empty((out_ch, cols.shape[1]), dtype=np.float64)
+        d_band = np.zeros((out_ch, cols.shape[1]), dtype=np.float64)
         for off, box in boxes:
             n0, n1, y0, y1, x0, x1 = box
             _band_view(d_band, off, box)[...] = d_t[:, n0:n1, y0:y1, x0:x1]

@@ -214,19 +214,22 @@ class TestConvMatchesWholeMatrixReference:
                         st.integers(1, 180), st.sampled_from([0, 0, 0, 1, 4, 12])),
        chunk_bytes=st.sampled_from([2048, 65536, 1 << 20]), seed=st.integers(0, 2 ** 16))
 def test_bands_keep_the_float64_bits_of_the_whole_product(o, k, length, chunk_bytes, seed):
-    """The float64 products of the correlations over the bands of nn._bands
-    equal the whole product: the forward's shape, which d_input shares.
-    The conv outputs round these to float32, which hides nearly every
-    last-bit difference of a band that meets another OpenBLAS kernel, so
-    the bands are checked before that. d_w is a float64 sum over the same
-    pixel bands, rounded once, so only the correlations keep the whole
-    product's float64 bits."""
+    """The float64 products of the correlations over the bands of nn._bands,
+    which cover the length zero-padded to whole 16-column panels, equal the
+    whole product of the zero-padded matrix: the forward's shape, which
+    d_input shares. The conv outputs round these to float32, which hides
+    nearly every last-bit difference of a band that meets another OpenBLAS
+    kernel, so the bands are checked before that. d_w is a float64 sum over
+    the same pixel bands, rounded once, so only the correlations keep the
+    whole product's float64 bits."""
     rng = np.random.default_rng(seed)
     w = rng.normal(size=(o, k))
-    cols = rng.normal(size=(k, length))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(nn, "CHUNK_BYTES", chunk_bytes)
         col_bands = nn._bands(length, 8 * k, o * k)
+    cols = np.zeros((k, col_bands[-1][1]))
+    cols[:, :length] = rng.normal(size=(k, length))
+    assert col_bands[0][0] == 0 and col_bands[-1][1] - length in range(16)
     whole = w @ cols
     for a, b in col_bands:
         assert np.array_equal(w @ np.ascontiguousarray(cols[:, a:b]), whole[:, a:b])
@@ -253,10 +256,11 @@ def test_conv_peak_allocation_is_a_fraction_of_the_patch_matrix(monkeypatch):
         assert peak < patch_bytes / 12
 
 
-# Shapes whose whole products end in a partial 16-column micro-panel, the
-# ones on which OpenBLAS's float64 sums can depend on the thread count:
-# d_w over 27 patch rows (3 input channels, 3x3), and forwards 196 and 588
-# columns wide (the block-5 maps of paper-vgg16 at 224 px, batch 1 and 3).
+# Shapes whose products end in a partial 16-column micro-panel unless
+# zero-padded, the ones on which OpenBLAS's float64 sums can depend on the
+# thread count: d_w over 27 patch rows (3 input channels, 3x3), and
+# forwards 196 and 588 columns wide (the block-5 maps of paper-vgg16 at
+# 224 px, batch 1 and 3).
 THREAD_CASES = [(2, 3, 32, 32, 32, 3, 1, 1), (1, 256, 256, 14, 14, 3, 1, 1),
                 (3, 256, 256, 14, 14, 3, 1, 1)]
 
@@ -271,19 +275,52 @@ def thread_case_digests() -> list[tuple[str, str]]:
     return digests
 
 
-def test_conv_bits_do_not_depend_on_blas_threads():
+def in_blas_threads(code: str) -> list:
+    """eval of what code prints in a child process, at 1 and at 2 BLAS threads."""
     src = Path(defectnet.__file__).resolve().parents[1]
     runs = []
     for threads in ("1", "2"):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
                    PYTHONPATH=os.pathsep.join([str(Path(__file__).parent), str(src)]))
-        code = "import test_nn as t; print(t.thread_case_digests())"
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                              text=True, check=True, timeout=300).stdout
         runs.append(eval(out))
+    return runs
+
+
+def test_conv_bits_do_not_depend_on_blas_threads():
+    runs = in_blas_threads("import test_nn as t; print(t.thread_case_digests())")
     for digests in runs:
         assert all(got == want for got, want in digests)
     assert runs[0] == runs[1]
+
+
+def float64_product_digests() -> list[str]:
+    """sha256 of every float64 product that conv2d_forward and
+    conv2d_backward compute on a block-5 map of paper-vgg16 at 224 px,
+    taken before each product is rounded as its caller asks."""
+    digests = []
+
+    def hashing_mm64(a, b, dtype=np.float32):
+        product = _mm64(a, b, np.float64)
+        digests.append(hashlib.sha256(product.tobytes()).hexdigest())
+        return product.astype(dtype, copy=False)
+
+    case = (1, 256, 256, 14, 14, 3, 1, 1)
+    x, w, b, r = conv_case(0, *case)
+    p = nn.ConvParams(t32(w), t32(b), stride=1, padding=1)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(nn, "_mm64", hashing_mm64)
+        nn.conv2d_forward(t32(x), p)
+        nn.conv2d_backward(t32(x), p, t32(r))
+    return digests
+
+
+def test_float64_products_do_not_depend_on_blas_threads():
+    """Every conv product is banded in whole 16-column panels, so even its
+    float64 bits, before any rounding, are the same at 1 and 2 threads."""
+    one, two = in_blas_threads("import test_nn as t; print(t.float64_product_digests())")
+    assert len(one) >= 3 and one == two
 
 
 class TestMaxPool:
