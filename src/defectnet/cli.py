@@ -152,7 +152,11 @@ def _read_meta_input_size(model_path: Path) -> int | None:
     meta = model_path.parent / "run.meta"
     if not meta.is_file():
         return None
-    for line in meta.read_text(encoding="utf-8").splitlines():
+    try:
+        text = meta.read_text(encoding="utf-8")
+    except UnicodeDecodeError:
+        raise ArchiveError(f"{meta} beside the model archive is not UTF-8") from None
+    for line in text.splitlines():
         key, _, raw = line.partition("=")
         if key.strip() == "input_size":
             try:
@@ -174,8 +178,9 @@ def load_model(path) -> model_mod.Model:
     parameter names/shapes, with input size from a sibling run.meta if any."""
     p = Path(path)
     params = _read_archive(p)
+    input_size = _read_meta_input_size(p)
     try:
-        spec = model_mod.spec_from_params(params, input_size=_read_meta_input_size(p))
+        spec = model_mod.spec_from_params(params, input_size=input_size)
     except ValueError as exc:
         raise ArchiveError(f"cannot reconstruct architecture from {p}: {exc}") from exc
     if spec.num_classes != len(LABEL_NAMES):
@@ -308,6 +313,10 @@ def cmd_train(args) -> int:
     for w in ds.warnings:
         print(f"warning: {w}")
     train_ds, val_ds = split(ds, cfg["val_fraction"], cfg["seed"])
+    for name, part in (("training", train_ds), ("validation", val_ds)):
+        if not len(part):
+            raise DatasetError(f"the {name} split is empty: {len(ds)} images in "
+                               f"{cfg['data_dir']} at val_fraction = {cfg['val_fraction']}")
     net, history = train(net, train_ds, val_ds, aug, tc)
     with _writing(out) as path:
         path.mkdir(parents=True, exist_ok=True)

@@ -224,6 +224,17 @@ class TestTrain:
             assert f"{key} " in err
 
 
+    def test_empty_validation_split_exit_3(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        small_tree(data, n=1)
+        cfg = toy_config(tmp_path, data, tmp_path / "run", val_fraction=0.2)
+        assert main(["train", "--config", str(cfg)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "validation split is empty" in err
+        assert "4 images" in err and "val_fraction = 0.2" in err
+        assert not (tmp_path / "run").exists()
+
     def test_out_dir_is_a_file_exit_2_before_any_io(self, tmp_path, capsys):
         out = tmp_path / "run"
         out.write_text("a file")
@@ -376,6 +387,23 @@ class TestPredict:
         assert captured.out == ""
         assert captured.err.startswith("error: ") and "block1.conv1.w" in captured.err
         assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["predict", "cam", "eval"])
+    def test_run_meta_not_utf8_exit_3(self, tmp_path, capsys, command):
+        model = tmp_path / "model.dnw"
+        write_model(model, zero_model(ArchSpec(((1, 4),), GapHead(), num_classes=4,
+                                               input_size=16)))
+        (tmp_path / "run.meta").write_bytes(b"input_size = 16\xff\n")
+        img = tmp_path / "in.ppm"
+        img.write_bytes(encode_ppm(solid_image(16, (9, 9, 9))))
+        argv = {"predict": [str(img)], "cam": [str(img), str(tmp_path / "o.ppm")],
+                "eval": [str(tmp_path / "test")]}[command]
+        assert main([command, str(model)] + argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "run.meta" in captured.err and "UTF-8" in captured.err
+        assert "cannot reconstruct" not in captured.err
 
     def test_missing_model_exit_3(self, tmp_path):
         img = tmp_path / "in.ppm"
