@@ -212,7 +212,8 @@ def conv2d_backward(x: Tensor, p: ConvParams, d_out: Tensor, with_input=True) ->
     d_bias = np.sum(d_out.array, axis=(0, 2, 3), dtype=np.float64).astype(np.float32)
 
     # d_w: d_out @ cols.T over the forward's bands of patch columns, summed
-    # in float64 in ascending band order and rounded once.
+    # in float64 in ascending band order and rounded once. d_band's padding
+    # columns must be zero, not merely meet zero columns: 0 * NaN is NaN.
     d_t = d_out.array.transpose(1, 0, 2, 3)
     d_w = np.zeros((out_ch, c * kh * kw), dtype=np.float64)
     for boxes, cols in _patch_bands(_padded(x.array, pad), out_ch, kh, kw, s, oh, ow):
