@@ -10,8 +10,10 @@ import numpy as np
 import pytest
 from gradcheck import assert_grad_close, central_diff
 import im2col_ref
-from hypothesis import given, settings
+import pool_ref
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from naive_ops import (naive_conv2d, naive_dense, naive_gap,
                        naive_softmax_ce)
 
@@ -380,6 +382,69 @@ class TestMaxPool:
             return float(np.sum(naive_maxpool(xv) * r))
 
         assert_grad_close(g.array, central_diff(f, xv), "maxpool d_input")
+
+
+# Ties, signed zeros, NaN and infinities beside arbitrary float32 values.
+POOL_VALUES = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, np.inf, -np.inf, np.nan]),
+                        st.floats(width=32))
+
+
+@st.composite
+def pool_cases(draw):
+    """(x, d_out): an NCHW batch of 1-3 images with 1, 2, 3 or 5 channels and
+    its pooled-shape upstream gradient."""
+    n, c = draw(st.integers(1, 3)), draw(st.sampled_from([1, 2, 3, 5]))
+    oh, ow = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    x = draw(arrays(np.float32, (n, c, 2 * oh, 2 * ow), elements=POOL_VALUES))
+    d = draw(arrays(np.float32, (n, c, oh, ow), elements=POOL_VALUES))
+    return x, d
+
+
+def _windows(*rows):
+    """One image of one channel and 2x2 windows laid side by side; each row
+    of `rows` lists a window's four values in row-major order."""
+    x = np.array(rows, dtype=np.float32).reshape(1, 1, len(rows), 2, 2)
+    return x.transpose(0, 1, 3, 2, 4).reshape(1, 1, 2, 2 * len(rows))
+
+
+NAN, INF = np.float32(np.nan), np.float32(np.inf)
+
+
+class TestMaxPoolMatchesWindowReference:
+    """nn's pool equals the window-copy argmax of tests/pool_ref.py bit for bit."""
+
+    @staticmethod
+    def assert_same_bits(x, d):
+        out, mask = nn.maxpool2d_forward(Tensor(x))
+        want_out, want_mask = pool_ref.maxpool2d_forward(Tensor(x))
+        assert out.array.tobytes() == want_out.array.tobytes()
+        assert mask.window_argmax.dtype == want_mask.window_argmax.dtype == np.uint8
+        assert np.array_equal(mask.window_argmax, want_mask.window_argmax)
+        assert mask.input_shape == want_mask.input_shape
+        got = nn.maxpool2d_backward(mask, Tensor(d)).array
+        want = pool_ref.maxpool2d_backward(want_mask, Tensor(d)).array
+        assert got.dtype == np.float32 and got.tobytes() == want.tobytes()
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(pool_cases())
+    @example((_windows([1, 1, 1, 1], [0, 2, 2, 1], [-1, -3, -1, -1], [3, 0, 3, 3]),
+              np.ones((1, 1, 1, 4), np.float32)))
+    @example((_windows([0.0, -0.0, 0.0, -0.0], [-0.0, 0.0, -0.0, 0.0], [-0.0] * 4, [-1, 0.0, -0.0, -2]),
+              np.array([[[[-0.0, 0.0, -1, NAN]]]], np.float32)))
+    @example((_windows([1, NAN, 2, -NAN], [NAN, 5, 5, 5], [-INF, -INF, 0, NAN], [INF, 3, INF, NAN]),
+              np.array([[[[INF, -INF, NAN, 2]]]], np.float32)))
+    @example((_windows([-INF] * 4, [-INF, -INF, -INF, 0], [INF, INF, INF, INF], [2, 1, -INF, INF]),
+              np.array([[[[1, 2, 3, 4]]]], np.float32)))
+    def test_bit_identical(self, case):
+        self.assert_same_bits(*case)
+
+    def test_ties_in_a_large_batch(self):
+        # Seven levels over 16k values: most windows hold a tie.
+        rng = np.random.default_rng(11)
+        x = rng.integers(-3, 4, size=(2, 5, 32, 48)).astype(np.float32)
+        x[rng.random(x.shape) < 0.01] = np.nan
+        d = rng.normal(size=(2, 5, 16, 24)).astype(np.float32)
+        self.assert_same_bits(x, d)
 
 
 class TestGlobalAvgPool:
