@@ -160,9 +160,13 @@ def _read_meta_input_size(model_path: Path) -> int | None:
         key, _, raw = line.partition("=")
         if key.strip() == "input_size":
             try:
-                return int(raw.strip())
+                size = int(raw)
             except ValueError:
-                return None
+                size = 0
+            if size < 1:
+                raise ArchiveError(f"input_size = {raw.strip()!r} in {meta} "
+                                   "is not a positive integer")
+            return size
     return None
 
 
@@ -175,7 +179,9 @@ def _read_archive(p: Path) -> dict[str, Tensor]:
 
 def load_model(path) -> model_mod.Model:
     """Rebuild a model from an archive; the architecture is read off the
-    parameter names/shapes, with input size from a sibling run.meta if any."""
+    parameter names/shapes, with input size from a sibling run.meta if any.
+    The archive must hold exactly the parameters of that architecture, as
+    under the strict policy; no weights are drawn."""
     p = Path(path)
     params = _read_archive(p)
     input_size = _read_meta_input_size(p)
@@ -186,8 +192,9 @@ def load_model(path) -> model_mod.Model:
     if spec.num_classes != len(LABEL_NAMES):
         raise ArchiveError(f"model in {p} classifies {spec.num_classes} classes, "
                            f"the labels are {len(LABEL_NAMES)}")
-    fresh = build(spec, seed=0)
-    return weights_io.load_into(fresh, params, policy="strict")
+    shapes = model_mod.param_shapes(spec)
+    weights_io.check_strict(shapes, params)
+    return model_mod.Model(spec, {n: params[n] for n in shapes}, dict.fromkeys(shapes, True))
 
 
 def _check_output_file(path) -> None:

@@ -7,9 +7,10 @@ well-defined. Two presets ship: "paper-vgg16" (filter widths
 32/64/128/256/256) and "canonical-vgg16" (64/128/256/512/512).
 
 `layers(spec)` lists the layers of an ArchSpec in forward order: conv +
-ReLU pairs and a max-pool per block, then the head. build, replace_head,
-forward and loss_and_gradients all walk that list, so it is the one
-place that knows the order of layers and parameters.
+ReLU pairs, each block's last ReLU folded into its max pool, then the
+head. build, replace_head, forward and loss_and_gradients all walk that
+list, and param_shapes reads the parameter names and shapes off it, so
+it is the one place that knows the order of layers and parameters.
 
 The default head is GAP -> single dense -> softmax, which serves both
 classification and class-activation mapping; a conventional FC head is
@@ -115,18 +116,25 @@ class Layer:
     """One step of the forward walk.
 
     forward(params, x) -> (y, ctx) keeps in ctx what backward(ctx, dy) ->
-    (dx, grads by parameter name) needs; init(rng) draws its parameters.
+    (dx, grads by parameter name) needs; shapes() names its parameters and
+    their shapes, weights before biases.
     """
 
-    def init(self, rng: np.random.Generator) -> dict[str, Tensor]:
+    def shapes(self) -> dict[str, tuple[int, ...]]:
         return {}
 
 
-def _draw(name: str, rng: np.random.Generator, shape, out: int) -> dict[str, Tensor]:
-    """Uniform weights (bound sqrt(6/fan_in), fan_in = weights per output) and zero biases."""
-    bound = math.sqrt(6.0 / (math.prod(shape) // out))
-    w = rng.uniform(-bound, bound, size=shape).astype(np.float32)
-    return {f"{name}.w": Tensor._wrap(w), f"{name}.b": Tensor.zeros((out,))}
+def _draw(shapes: dict[str, tuple[int, ...]], rng: np.random.Generator) -> dict[str, Tensor]:
+    """Uniform weights (bound sqrt(6/fan_in), fan_in = weights per output, the
+    length of the bias) drawn in order from one stream, and zero biases."""
+    params = {}
+    for name, shape in shapes.items():
+        if name.endswith(".b"):
+            params[name] = Tensor.zeros(shape)
+        else:
+            bound = math.sqrt(6.0 / (math.prod(shape) // shapes[name[:-1] + "b"][0]))
+            params[name] = Tensor._wrap(rng.uniform(-bound, bound, size=shape).astype(np.float32))
+    return params
 
 
 def _param_grads(name: str, lg: nn.LayerGradients):
@@ -143,8 +151,9 @@ class Conv(Layer):
     out_ch: int
     first: bool = False
 
-    def init(self, rng):
-        return _draw(self.name, rng, (self.out_ch, self.in_ch, KERNEL, KERNEL), self.out_ch)
+    def shapes(self):
+        return {f"{self.name}.w": (self.out_ch, self.in_ch, KERNEL, KERNEL),
+                f"{self.name}.b": (self.out_ch,)}
 
     def forward(self, params, x):
         cp = nn.ConvParams(params[f"{self.name}.w"], params[f"{self.name}.b"],
@@ -163,8 +172,8 @@ class Dense(Layer):
     fan_in: int
     out: int
 
-    def init(self, rng):
-        return _draw(self.name, rng, (self.fan_in, self.out), self.out)
+    def shapes(self):
+        return {f"{self.name}.w": (self.fan_in, self.out), f"{self.name}.b": (self.out,)}
 
     def forward(self, params, x):
         w = params[f"{self.name}.w"]
@@ -185,12 +194,20 @@ class Relu(Layer):
         return nn.relu_backward(ctx, dy), {}
 
 
-class MaxPool(Layer):
+class ReluMaxPool(Layer):
+    """A block's last ReLU and its 2x2 max pool. It pools the conv output and
+    rectifies the quarter-size result: max and ReLU commute, and
+    np.maximum(+-0, 0) is +0, so the bits are those of a pool of the ReLU.
+    Its ctx is the pool's mask and its output, the array the next layer keeps."""
+
     def forward(self, params, x):
-        return nn.maxpool2d_forward(x)
+        pooled, mask = nn.maxpool2d_forward(x)
+        y = nn.relu(pooled)
+        return y, (mask, y)
 
     def backward(self, ctx, dy):
-        return nn.maxpool2d_backward(ctx, dy), {}
+        mask, y = ctx
+        return nn.maxpool2d_backward(mask, nn.relu_backward(y, dy)), {}
 
 
 class GlobalAvgPool(Layer):
@@ -219,9 +236,9 @@ def layers(spec: ArchSpec) -> tuple[list[Layer], list[Layer]]:
     in_ch = spec.in_channels
     for b, (count, filters) in enumerate(spec.blocks, 1):
         for i in range(1, count + 1):
-            features += [Conv(f"block{b}.conv{i}", in_ch, filters, first=not features), Relu()]
+            features += [Conv(f"block{b}.conv{i}", in_ch, filters, first=not features),
+                         Relu() if i < count else ReluMaxPool()]
             in_ch = filters
-        features.append(MaxPool())
     if isinstance(spec.head, GapHead):
         head: list[Layer] = [GlobalAvgPool()]
         fan_in = spec.final_filters
@@ -235,17 +252,20 @@ def layers(spec: ArchSpec) -> tuple[list[Layer], list[Layer]]:
     return features, head
 
 
+def param_shapes(spec: ArchSpec) -> dict[str, tuple[int, ...]]:
+    """Shape of every parameter by name, in layer order: the architecture
+    without its weights."""
+    features, head = layers(spec)
+    return {name: shape for layer in features + head for name, shape in layer.shapes().items()}
+
+
 def build(spec: ArchSpec, seed: int) -> Model:
     """Instantiate a model; (spec, seed) fully determines every parameter bit.
 
     Weights are fan-in-scaled uniform draws (bound sqrt(6/fan_in)) from a
     single seeded stream consumed in layer order; biases start at zero.
     """
-    rng = np.random.default_rng(seed)
-    features, head = layers(spec)
-    params: dict[str, Tensor] = {}
-    for layer in features + head:
-        params.update(layer.init(rng))
+    params = _draw(param_shapes(spec), np.random.default_rng(seed))
     return Model(spec=spec, params=params, trainable={name: True for name in params})
 
 
@@ -263,9 +283,8 @@ def replace_head(model: Model, num_classes: int, seed: int) -> Model:
     """
     spec = replace(model.spec, num_classes=num_classes)
     params = {n: t for n, t in model.params.items() if param_block(n) is not None}
-    rng = np.random.default_rng(seed)
-    for layer in layers(spec)[1]:
-        params.update(layer.init(rng))
+    head = {n: s for n, s in param_shapes(spec).items() if param_block(n) is None}
+    params.update(_draw(head, np.random.default_rng(seed)))
     trainable = {n: param_block(n) is None or model.trainable[n] for n in params}
     return Model(spec=spec, params=params, trainable=trainable)
 
@@ -329,15 +348,15 @@ def loss_and_gradients(model: Model, batch: Tensor, targets) -> tuple[float, Ten
     activation is freed once no layer below still reads it.
     """
     tape: list = []
-    trace = _run(model, batch, tape)
-    loss = nn.cross_entropy(trace.probs, targets)
+    probs = _run(model, batch, tape).probs
+    loss = nn.cross_entropy(probs, targets)
     grads: dict[str, Tensor] = {}
-    d = nn.cross_entropy_backward(trace.probs, targets)
+    d = nn.cross_entropy_backward(probs, targets)
     while tape:
         layer, ctx = tape.pop()
         d, layer_grads = layer.backward(ctx, d)
         grads.update(layer_grads)
-    return loss, trace.probs, grads
+    return loss, probs, grads
 
 
 def predict(model: Model, image: Tensor) -> tuple[int, Tensor]:

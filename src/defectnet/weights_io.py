@@ -102,6 +102,22 @@ def read_weights(source: BinaryIO) -> dict[str, Tensor]:
 POLICIES = ("strict", "skip-missing")
 
 
+def check_strict(shapes: dict[str, tuple[int, ...]], params: dict[str, Tensor]) -> None:
+    """Raise ArchiveError unless the archive carries exactly the named
+    parameters, each with its shape."""
+    missing = [n for n in shapes if n not in params]
+    if missing:
+        raise ArchiveError(f"archive is missing model parameters: {', '.join(missing)}")
+    extra = [n for n in params if n not in shapes]
+    if extra:
+        raise ArchiveError(f"archive has entries the model lacks: {', '.join(extra)}")
+    for name, shape in shapes.items():
+        if params[name].shape != shape:
+            raise ArchiveError(
+                f"shape mismatch on {name!r}: model {shape} vs archive {params[name].shape}"
+            )
+
+
 def load_into(model: Model, params: dict[str, Tensor], policy: str = "strict") -> Model:
     """Copy archive values into a model.
 
@@ -113,17 +129,7 @@ def load_into(model: Model, params: dict[str, Tensor], policy: str = "strict") -
     if policy not in POLICIES:
         raise ValueError(f"unknown policy {policy!r}; use 'strict' or 'skip-missing'")
     if policy == "strict":
-        missing = [n for n in model.params if n not in params]
-        if missing:
-            raise ArchiveError(f"archive is missing model parameters: {', '.join(missing)}")
-        extra = [n for n in params if n not in model.params]
-        if extra:
-            raise ArchiveError(f"archive has entries the model lacks: {', '.join(extra)}")
-        for name, t in model.params.items():
-            if params[name].shape != t.shape:
-                raise ArchiveError(
-                    f"shape mismatch on {name!r}: model {t.shape} vs archive {params[name].shape}"
-                )
+        check_strict({n: t.shape for n, t in model.params.items()}, params)
         new_params = {name: params[name] for name in model.params}
     else:
         new_params = {}

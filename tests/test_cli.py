@@ -405,6 +405,25 @@ class TestPredict:
         assert "run.meta" in captured.err and "UTF-8" in captured.err
         assert "cannot reconstruct" not in captured.err
 
+    @pytest.mark.parametrize("value", ["abc", "0", "-16", ""])
+    @pytest.mark.parametrize("command", ["predict", "cam", "eval"])
+    def test_run_meta_bad_input_size_exit_3(self, tmp_path, capsys, command, value):
+        # Before, a non-integer fell back to 224 px and blamed the image (exit 4),
+        # and a size below 1 blamed the archive.
+        model = tmp_path / "model.dnw"
+        write_model(model, zero_model(ArchSpec(((1, 4),), GapHead(), num_classes=4,
+                                               input_size=16)), input_size=value)
+        img = tmp_path / "in.ppm"
+        img.write_bytes(encode_ppm(solid_image(16, (9, 9, 9))))
+        argv = {"predict": [str(img)], "cam": [str(img), str(tmp_path / "o.ppm")],
+                "eval": [str(tmp_path / "test")]}[command]
+        assert main([command, str(model)] + argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "run.meta" in captured.err and f"input_size = {value!r}" in captured.err
+        assert "cannot reconstruct" not in captured.err
+
     def test_missing_model_exit_3(self, tmp_path):
         img = tmp_path / "in.ppm"
         img.write_bytes(encode_ppm(solid_image(8, (1, 2, 3))))

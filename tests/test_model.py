@@ -291,7 +291,8 @@ class TestLossAndGradients:
         assert loss > 0
 
     def test_relu_ctx_is_the_array_the_next_layer_receives(self, monkeypatch):
-        # ReLUs before a conv, before a pool and between two denses
+        # a ReLU before a conv, a ReLU folded into the block's pool, and a
+        # ReLU between two denses
         import defectnet.model as model_mod
 
         received = []
@@ -313,14 +314,19 @@ class TestLossAndGradients:
         x = np.random.default_rng(3).normal(size=(2, 1, 4, 4)).astype(np.float32)
         model_mod._run(m, Tensor(x), tape)
         relus = [k for k, (rec, _) in enumerate(tape) if isinstance(rec.layer, model_mod.Relu)]
-        assert len(relus) == 3
+        pools = [k for k, (rec, _) in enumerate(tape)
+                 if isinstance(rec.layer, model_mod.ReluMaxPool)]
+        assert len(tape) == 8 and len(relus) == 2 and pools == [3]
         for k in relus:
             assert tape[k][1].array is received[k + 1]
+        for k in pools:
+            assert tape[k][1][1].array is received[k + 1]
 
     def test_backward_frees_each_ctx_once_no_layer_below_reads_it(self, monkeypatch):
         """When a layer's backward runs, the ctx arrays of the layers above it
-        are gone, save those that a layer at or below it keeps as well (a
-        ReLU's output is the next layer's input)."""
+        are gone, save those that a layer at or below it keeps as well (the
+        output of a ReLU, or of a block's ReLU and pool, is the next layer's
+        input)."""
         import weakref
 
         import defectnet.model as model_mod
@@ -357,7 +363,7 @@ class TestLossAndGradients:
                             lambda s: tuple([Recorder(l) for l in part] for part in real(s)))
         x = np.random.default_rng(3).normal(size=(2, 1, 8, 8)).astype(np.float32)
         loss_and_gradients(m, Tensor(x), [0, 2])
-        assert len(refs) == 12 and all(refs[:8])
+        assert len(refs) == 10 and all(refs[:6])
         assert leaks == []
 
     @pytest.mark.parametrize("head", [GapHead(), FcHead((3,))], ids=["gap", "fc"])

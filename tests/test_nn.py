@@ -20,6 +20,7 @@ from naive_ops import (naive_conv2d, naive_dense, naive_gap,
 import defectnet
 from defectnet import nn
 from defectnet.errors import ShapeError
+from defectnet.model import ReluMaxPool
 from defectnet.tensor import Tensor, _mm64
 
 
@@ -437,6 +438,26 @@ class TestMaxPoolMatchesWindowReference:
               np.array([[[[1, 2, 3, 4]]]], np.float32)))
     def test_bit_identical(self, case):
         self.assert_same_bits(*case)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(pool_cases())
+    @example((_windows([-1, -2, -3, -4], [-0.0, -0.0, -1, -0.0], [-3, -1, 0.0, -1], [-INF, 2, 2, NAN]),
+              np.array([[[[1, 2, 3, 4]]]], np.float32)))
+    def test_relu_pool_layer_is_the_pool_of_the_relu(self, case):
+        """model.ReluMaxPool pools, then rectifies the quarter-size result. Its
+        output and input gradient equal those of a ReLU (backward: np.where on
+        the ReLU's output) followed by the reference pool."""
+        x, d = case
+        layer = ReluMaxPool()
+        y, ctx = layer.forward({}, Tensor(x))
+        r = nn.relu(Tensor(x))
+        want_y, want_mask = pool_ref.maxpool2d_forward(r)
+        assert y.array.tobytes() == want_y.array.tobytes()
+        assert ctx[1] is y
+        dx, grads = layer.backward(ctx, Tensor(d))
+        d_r = pool_ref.maxpool2d_backward(want_mask, Tensor(d)).array
+        want_dx = np.where(r.array > 0, d_r, np.float32(0.0))
+        assert grads == {} and dx.array.tobytes() == want_dx.tobytes()
 
     def test_ties_in_a_large_batch(self):
         # Seven levels over 16k values: most windows hold a tie.
