@@ -5,17 +5,23 @@ Every operation is a pure function; backward passes take the original
 forward inputs explicitly instead of relying on hidden layer state. The
 layer objects of model.layers call these functions and keep those
 inputs as their ctx; a ReLU keeps its output, which is positive where
-its input is. Convolution runs as im2col + matmul (the naive
-sliding-window loop is kept as an oracle in the test suite) over the
-float64 patch matrix [C*kh*kw x N*oh*ow], rows in (c, i, j) and columns
-in (n, y, x) order, gathered from a padded (C, N, H, W) copy of the
-input. One band walk, _patch_bands, yields that matrix, zero-padded to
-whole 16-column panels, in bands of patch columns of at most CHUNK_BYTES.
-One correlation, _correlate, serves the forward and d_input,
-and each of its bands keeps the bits of the one whole product: d_input
-correlates d_out, zero-inserted and padded, with the flipped, transposed
-filters, and rounds once. d_w sums d_out @ cols.T over the same bands in
-float64 and rounds once.
+its input is. The 2x2 max pool compares strided views of its input, a
+window's two columns first and then its two row winners, and keeps each
+winner's position as a uint8 code; its backward writes each of the four
+window positions once. Both select float32 values through their uint32
+bits (_select), so every value keeps its bits.
+
+Convolution runs as im2col + matmul (the naive sliding-window loop is
+kept as an oracle in the test suite) over the float64 patch matrix
+[C*kh*kw x N*oh*ow], rows in (c, i, j) and columns in (n, y, x) order,
+gathered from a padded (C, N, H, W) copy of the input. One band walk,
+_patch_bands, yields that matrix, zero-padded to whole 16-column panels,
+in bands of patch columns of at most CHUNK_BYTES. One correlation,
+_correlate, serves the forward and d_input, and each of its bands keeps
+the bits of the one whole product: d_input correlates d_out,
+zero-inserted and padded, with the flipped, transposed filters, and
+rounds once. d_w sums d_out @ cols.T over the same bands in float64 and
+rounds once.
 """
 
 from __future__ import annotations

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from synth_data import from_float, patch_image, solid_image, texture_image, write_tree
 
-from defectnet.cli import main, parse_config_text
+from defectnet.cli import load_model, main, parse_config_text
 from defectnet.data import encode_ppm
 from defectnet.errors import ConfigError
 from defectnet.model import ArchSpec, FcHead, GapHead, build
@@ -423,6 +423,36 @@ class TestPredict:
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
         assert "run.meta" in captured.err and f"input_size = {value!r}" in captured.err
         assert "cannot reconstruct" not in captured.err
+
+    def test_load_model_draws_no_weights(self, tmp_path, monkeypatch):
+        spec = ArchSpec(((1, 4), (2, 8)), GapHead(), num_classes=4, input_size=16)
+        built = build(spec, seed=5)
+        model = tmp_path / "model.dnw"
+        write_model(model, built, input_size=16)
+        monkeypatch.setattr(np.random, "default_rng", lambda *a: pytest.fail("drew weights"))
+        loaded = load_model(model)
+        assert loaded.spec == spec and all(loaded.trainable.values())
+        assert list(loaded.params) == list(built.params)
+        for name, t in built.params.items():
+            assert loaded.params[name].array.tobytes() == t.array.tobytes()
+
+    @pytest.mark.parametrize("edit, message", [
+        ({"block1.conv1.b": None}, "archive is missing model parameters: block1.conv1.b"),
+        ({"head.extra.w": np.ones((2, 2))}, "archive has entries the model lacks: head.extra.w"),
+        ({"block2.conv1.w": np.ones((8, 5, 3, 3))},
+         "shape mismatch on 'block2.conv1.w': model (8, 4, 3, 3) vs archive (8, 5, 3, 3)"),
+    ], ids=["missing", "extra", "shape"])
+    def test_archive_not_of_its_architecture_exit_3(self, tmp_path, capsys, edit, message):
+        from dataclasses import replace
+        m = build(ArchSpec(((1, 4), (1, 8)), GapHead(), num_classes=4, input_size=16), seed=5)
+        params = {n: t for n, t in m.params.items() if n not in edit}
+        params.update({n: Tensor(v) for n, v in edit.items() if v is not None})
+        model = tmp_path / "model.dnw"
+        write_model(model, replace(m, params=params), input_size=16)
+        img = tmp_path / "in.ppm"
+        img.write_bytes(encode_ppm(solid_image(16, (9, 9, 9))))
+        assert main(["predict", str(model), str(img)]) == 3
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_missing_model_exit_3(self, tmp_path):
         img = tmp_path / "in.ppm"
