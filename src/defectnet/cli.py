@@ -188,6 +188,9 @@ def load_model(path) -> model_mod.Model:
     try:
         spec = model_mod.spec_from_params(params, input_size=input_size)
     except ValueError as exc:
+        if isinstance(exc, model_mod.InputSizeError) and input_size is not None:
+            raise ArchiveError(f"{p.parent / 'run.meta'} does not fit the model in {p}: "
+                               f"{exc}") from None
         raise ArchiveError(f"cannot reconstruct architecture from {p}: {exc}") from exc
     if spec.num_classes != len(LABEL_NAMES):
         raise ArchiveError(f"model in {p} classifies {spec.num_classes} classes, "

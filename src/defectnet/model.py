@@ -51,6 +51,10 @@ class FcHead:
 Head = GapHead | FcHead
 
 
+class InputSizeError(ValueError):
+    """An input size that the blocks' pools cannot halve down to whole maps."""
+
+
 @dataclass(frozen=True)
 class ArchSpec:
     """Block layout: ordered (conv-layer count, filter count) pairs plus a head."""
@@ -76,8 +80,8 @@ class ArchSpec:
             raise ValueError("in_channels must be >= 1")
         pools = len(self.blocks)
         if self.input_size < 2 ** pools or self.input_size % 2 ** pools:
-            raise ValueError(f"input_size {self.input_size} is not a positive size "
-                             f"divisible by 2^{pools} pools")
+            raise InputSizeError(f"input_size {self.input_size} is not a positive size "
+                                 f"divisible by 2^{pools} pools")
 
     @property
     def final_filters(self) -> int:
@@ -311,10 +315,14 @@ class ForwardTrace:
 
 
 def _walk(stack: list[Layer], params: dict[str, Tensor], x: Tensor, tape) -> Tensor:
+    """Run the layers in order. A ctx is dropped once it is on the tape, or
+    at once without one, so an untaped walk frees each layer's input as
+    soon as its output exists."""
     for layer in stack:
         x, ctx = layer.forward(params, x)
         if tape is not None:
             tape.append((layer, ctx))
+        del ctx
     return x
 
 

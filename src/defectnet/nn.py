@@ -14,14 +14,17 @@ bits (_select), so every value keeps its bits.
 Convolution runs as im2col + matmul (the naive sliding-window loop is
 kept as an oracle in the test suite) over the float64 patch matrix
 [C*kh*kw x N*oh*ow], rows in (c, i, j) and columns in (n, y, x) order,
-gathered from a padded (C, N, H, W) copy of the input. One band walk,
+gathered from the (C, N, H, W) view of the unpadded input with virtual
+zero padding: no padded copy of an activation is built. One band walk,
 _patch_bands, yields that matrix, zero-padded to whole 16-column panels,
-in bands of patch columns of at most CHUNK_BYTES. One correlation,
-_correlate, serves the forward and d_input, and each of its bands keeps
-the bits of the one whole product: d_input correlates d_out,
-zero-inserted and padded, with the flipped, transposed filters, and
-rounds once. d_w sums d_out @ cols.T over the same bands in float64 and
-rounds once.
+in bands of patch columns of at most CHUNK_BYTES; each band copies the
+in-range rectangle of every tap and zeroes the strips that fall in the
+padding. One correlation, _correlate, serves the forward and d_input, and
+each of its bands keeps the bits of the one whole product: d_input
+correlates the (O, N, oh, ow) view of d_out (zero-inserted between
+strides only when the stride exceeds 1), virtually padded by k-1-pad,
+with the flipped, transposed filters, and rounds once. d_w sums
+d_out @ cols.T over the same bands in float64 and rounds once.
 """
 
 from __future__ import annotations
@@ -152,22 +155,24 @@ def _band_view(band: np.ndarray, off: int, box) -> np.ndarray:
         band.shape[0], n1 - n0, y1 - y0, x1 - x0)
 
 
-def _padded(x: np.ndarray, pad: int) -> np.ndarray:
-    """float32 (C, N, H + 2*pad, W + 2*pad) zero-padded copy of an NCHW batch."""
-    n, c, h, w = x.shape
-    xp = np.zeros((c, n, h + 2 * pad, w + 2 * pad), dtype=np.float32)
-    xp[:, :, pad : pad + h, pad : pad + w] = x.transpose(1, 0, 2, 3)
-    return xp
+def _span(lo: int, hi: int, pad: int, tap: int, stride: int, size: int) -> tuple[int, int]:
+    """The outputs [a, b) within [lo, hi) whose input index
+    tap - pad + stride * out falls inside [0, size); those outside read zero."""
+    a = min(max(lo, -((tap - pad) // stride)), hi)
+    return a, max(min(hi, (size - 1 + pad - tap) // stride + 1), a)
 
 
-def _patch_bands(xp: np.ndarray, out_ch, kh, kw, stride, oh, ow):
-    """Yield (boxes, cols) for each band of the float64 patch matrix of a
-    padded (C, N, H, W) input that a GEMM with out_ch output rows reads,
-    in ascending column order; every band reuses one buffer. The boxes
-    cover the band's real columns, and the columns past the last real one
-    are zero. Each band is filled tap (i, j) by tap, then box by box."""
+def _patch_bands(x: np.ndarray, pad, out_ch, kh, kw, stride, oh, ow):
+    """Yield (boxes, cols) for each band of the float64 patch matrix of an
+    unpadded (C, N, H, W) input, zero-padded by pad = (rows, columns), that
+    a GEMM with out_ch output rows reads, in ascending column order; every
+    band reuses one buffer. The boxes cover the band's real columns, and the
+    columns past the last real one are zero. Each band is filled tap (i, j)
+    by tap, then box by box: the in-range rectangle is copied, and the edge
+    strips that would read the padding are zeroed."""
     taps = kh * kw
-    k, m = xp.shape[0] * taps, xp.shape[1] * oh * ow
+    (c, n, h, w), (ph, pw) = x.shape, pad
+    k, m = c * taps, n * oh * ow
     bands = _bands(m, 8 * k, out_ch * k)
     buf = np.empty(k * max(b - a for a, b in bands), dtype=np.float64)
     for m0, m1 in bands:
@@ -178,18 +183,34 @@ def _patch_bands(xp: np.ndarray, out_ch, kh, kw, stride, oh, ow):
             i, j = divmod(t, kw)
             for off, box in boxes:
                 n0, n1, y0, y1, x0, x1 = box
-                _band_view(cols[t::taps], off, box)[...] = xp[
-                    :, n0:n1, i + stride * y0 : i + stride * y1 : stride,
-                    j + stride * x0 : j + stride * x1 : stride]
+                ya, yb = _span(y0, y1, ph, i, stride, h)
+                xa, xb = _span(x0, x1, pw, j, stride, w)
+                view = _band_view(cols[t::taps], off, box)
+                r, q = i - ph + stride * ya, j - pw + stride * xa
+                view[:, :, ya - y0 : yb - y0, xa - x0 : xb - x0] = x[
+                    :, n0:n1, r : r + stride * (yb - ya) : stride,
+                    q : q + stride * (xb - xa) : stride]
+                # The strips go after the copy, which has just brought their
+                # cache lines in: written first, a column strip cost about
+                # as much as the copy on a band larger than the L2 cache.
+                if ya > y0:
+                    view[:, :, : ya - y0] = 0
+                if yb < y1:
+                    view[:, :, yb - y0 :] = 0
+                if xa > x0:
+                    view[..., : xa - x0] = 0
+                if xb < x1:
+                    view[..., xb - x0 :] = 0
         yield boxes, cols
 
 
-def _correlate(xp: np.ndarray, w64: np.ndarray, bias, kh, kw, stride, oh, ow) -> np.ndarray:
+def _correlate(x: np.ndarray, pad, w64: np.ndarray, bias, kh, kw, stride, oh, ow) -> np.ndarray:
     """NCHW float32 out[n,o,y,x] = bias[o] + sum over c,i,j of
-    xp[c,n,y*stride+i,x*stride+j] * w64[o,(c,i,j)], for a padded
-    (C, N, H, W) input: one _mm64 per band of the patch matrix."""
-    out = np.empty((xp.shape[1], len(w64), oh, ow), dtype=np.float32)
-    for boxes, cols in _patch_bands(xp, len(w64), kh, kw, stride, oh, ow):
+    x[c,n,y*stride+i-ph,x*stride+j-pw] * w64[o,(c,i,j)], zero outside a
+    (C, N, H, W) input, for pad = (ph, pw): one _mm64 per band of the patch
+    matrix."""
+    out = np.empty((x.shape[1], len(w64), oh, ow), dtype=np.float32)
+    for boxes, cols in _patch_bands(x, pad, len(w64), kh, kw, stride, oh, ow):
         band = _mm64(w64, cols) + bias[:, None]
         for off, box in boxes:
             n0, n1, y0, y1, x0, x1 = box
@@ -205,8 +226,8 @@ def conv2d_forward(x: Tensor, p: ConvParams) -> Tensor:
     """
     n, c, h, w, out_ch, kh, kw, oh, ow = _conv_geometry(x.shape, p)
     w64 = p.weights.array.reshape(out_ch, -1).astype(np.float64)
-    return Tensor._wrap(_correlate(_padded(x.array, p.padding), w64, p.bias.array,
-                                   kh, kw, p.stride, oh, ow))
+    return Tensor._wrap(_correlate(x.array.transpose(1, 0, 2, 3), (p.padding, p.padding), w64,
+                                   p.bias.array, kh, kw, p.stride, oh, ow))
 
 
 def conv2d_backward(x: Tensor, p: ConvParams, d_out: Tensor, with_input=True) -> LayerGradients:
@@ -222,7 +243,8 @@ def conv2d_backward(x: Tensor, p: ConvParams, d_out: Tensor, with_input=True) ->
     # columns must be zero, not merely meet zero columns: 0 * NaN is NaN.
     d_t = d_out.array.transpose(1, 0, 2, 3)
     d_w = np.zeros((out_ch, c * kh * kw), dtype=np.float64)
-    for boxes, cols in _patch_bands(_padded(x.array, pad), out_ch, kh, kw, s, oh, ow):
+    for boxes, cols in _patch_bands(x.array.transpose(1, 0, 2, 3), (pad, pad), out_ch,
+                                    kh, kw, s, oh, ow):
         d_band = np.zeros((out_ch, cols.shape[1]), dtype=np.float64)
         for off, box in boxes:
             n0, n1, y0, y1, x0, x1 = box
@@ -230,14 +252,17 @@ def conv2d_backward(x: Tensor, p: ConvParams, d_out: Tensor, with_input=True) ->
         d_w += _mm64(d_band, cols.T, np.float64)
     del cols, d_band
 
-    # d_input: d_out, zero-inserted and padded by kh-1-pad, correlated with flipped W.T
+    # d_input: d_out, zero-inserted between strides and virtually padded by
+    # k-1-pad (cut where that is negative), correlated with flipped W.T
     d_input = None
     if with_input:
         wt64 = p.weights.array[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c, -1).astype(np.float64)
-        dz = np.zeros((out_ch, n, h + 2 * pad + kh - 1, w + 2 * pad + kw - 1), dtype=np.float32)
-        dz[:, :, kh - 1 :: s, kw - 1 :: s][:, :, :oh, :ow] = d_t
-        dz = dz[:, :, pad : pad + h + kh - 1, pad : pad + w + kw - 1]
-        d_input = Tensor._wrap(_correlate(dz, wt64, np.zeros(c, np.float32), kh, kw, 1, h, w))
+        dz = d_t
+        if s > 1:
+            dz = np.zeros((out_ch, n, s * (oh - 1) + 1, s * (ow - 1) + 1), dtype=np.float32)
+            dz[:, :, ::s, ::s] = d_t
+        d_input = Tensor._wrap(_correlate(dz, (kh - 1 - pad, kw - 1 - pad), wt64,
+                                          np.zeros(c, np.float32), kh, kw, 1, h, w))
     return LayerGradients(
         d_input=d_input,
         d_params={"weights": Tensor._wrap(d_w.astype(np.float32).reshape(out_ch, c, kh, kw)),

@@ -53,15 +53,20 @@ _CHUNK = 1 << 24
 
 
 def _read_exact(source: BinaryIO, n: int, context: str) -> bytearray:
-    """Read n bytes in bounded chunks, so that a length field larger than
-    the archive fails as truncation instead of allocating n bytes first."""
-    buf = bytearray()
-    while len(buf) < n:
-        b = source.read(min(n - len(buf), _CHUNK))
-        if not b:
+    """Read n bytes with readinto into one buffer. It starts at most _CHUNK
+    long and doubles only when full, so that a length field larger than the
+    archive fails as truncation instead of allocating n bytes first."""
+    buf = bytearray(min(n, _CHUNK))
+    got = 0
+    while got < n:
+        if got == len(buf):
+            buf += bytes(min(n - got, got))
+        with memoryview(buf) as view:
+            read = source.readinto(view[got:])
+        if not read:
             raise ArchiveError(f"truncated archive while reading {context} "
-                               f"(wanted {n} bytes, got {len(buf)})")
-        buf += b
+                               f"(wanted {n} bytes, got {got})")
+        got += read
     return buf
 
 
@@ -92,10 +97,10 @@ def read_weights(source: BinaryIO) -> dict[str, Tensor]:
         for d in dims:
             n_elem *= d
         payload = _read_exact(source, 4 * n_elem, f"{where} payload")
-        a = np.frombuffer(payload, dtype="<f4").astype(np.float32).reshape(dims)
+        a = np.frombuffer(payload, dtype="<f4").astype(np.float32, copy=False).reshape(dims)
         if not np.isfinite(a).all():
             raise ArchiveError(f"{where} holds non-finite values")
-        params[name] = Tensor._wrap(np.ascontiguousarray(a))
+        params[name] = Tensor._wrap(a)
     return params
 
 

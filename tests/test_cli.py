@@ -424,6 +424,23 @@ class TestPredict:
         assert "run.meta" in captured.err and f"input_size = {value!r}" in captured.err
         assert "cannot reconstruct" not in captured.err
 
+    @pytest.mark.parametrize("command", ["predict", "cam", "eval"])
+    def test_run_meta_input_size_not_of_the_pools_exit_3(self, tmp_path, capsys, command):
+        # Before, a positive size that two pools cannot halve blamed the archive.
+        model = tmp_path / "model.dnw"
+        write_model(model, zero_model(ArchSpec(((1, 4), (1, 4)), GapHead(), num_classes=4,
+                                               input_size=16)), input_size=18)
+        img = tmp_path / "in.ppm"
+        img.write_bytes(encode_ppm(solid_image(16, (9, 9, 9))))
+        argv = {"predict": [str(img)], "cam": [str(img), str(tmp_path / "o.ppm")],
+                "eval": [str(tmp_path / "test")]}[command]
+        assert main([command, str(model)] + argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "run.meta" in captured.err and "input_size 18 " in captured.err
+        assert "cannot reconstruct" not in captured.err
+
     def test_load_model_draws_no_weights(self, tmp_path, monkeypatch):
         spec = ArchSpec(((1, 4), (2, 8)), GapHead(), num_classes=4, input_size=16)
         built = build(spec, seed=5)

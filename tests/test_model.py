@@ -176,6 +176,26 @@ class TestForward:
         s = forward(m, x).probs.array.sum(axis=1)
         assert np.max(np.abs(s - 1.0)) < 1e-6
 
+    def test_untaped_forward_holds_at_most_two_activations(self, monkeypatch):
+        """Without a tape, a layer's input is freed once its output exists, so
+        beside one band of a conv's patch matrix the forward never holds more
+        than two activations, here 16-channel 128 px maps, at once."""
+        import tracemalloc
+        monkeypatch.setattr(nn, "CHUNK_BYTES", 64 << 10)
+        spec = ArchSpec(((3, 16),), GapHead(), num_classes=4, in_channels=3, input_size=128)
+        m = build(spec, seed=0)
+        x = Tensor(np.random.default_rng(7).uniform(0, 1, (2, 3, 128, 128)).astype(np.float32))
+        act = 2 * 16 * 128 * 128 * 4
+        band = max(8 * k * max(b - a for a, b in nn._bands(2 * 128 * 128, 8 * k, 16 * k))
+                   for k in (3 * 9, 16 * 9))
+        tracemalloc.start()
+        try:
+            forward(m, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * act + band + act / 4
+
     def test_wrong_input_shape(self):
         m = build(TOY, seed=0)
         with pytest.raises(ShapeError):

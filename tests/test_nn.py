@@ -240,10 +240,10 @@ def test_bands_keep_the_float64_bits_of_the_whole_product(o, k, length, chunk_by
 
 def test_conv_peak_allocation_is_a_fraction_of_the_patch_matrix(monkeypatch):
     """With a 64 KB band cap, neither direction allocates a twelfth of the
-    float64 patch matrix. Whole arrays that the backward pass keeps are
-    float32 and hold one value per pixel and channel: the padded input
-    that d_w reads, the spread d_out that d_input correlates, and d_input
-    itself, about 1/(2*k*k) of the patch matrix each, hence a 5x5 kernel."""
+    float64 patch matrix. Whole arrays that a direction allocates are
+    float32 and hold one value per pixel and channel: its output (and, at
+    a stride above 1, the spread d_out that d_input correlates), about
+    1/(2*k*k) of the patch matrix each, hence a 5x5 kernel."""
     monkeypatch.setattr(nn, "CHUNK_BYTES", 64 << 10, raising=False)
     x, w, b, r = conv_case(0, 2, 16, 16, 96, 96, 5, 1, 2)
     p = nn.ConvParams(t32(w), t32(b), padding=2)
@@ -257,6 +257,31 @@ def test_conv_peak_allocation_is_a_fraction_of_the_patch_matrix(monkeypatch):
         finally:
             tracemalloc.stop()
         assert peak < patch_bytes / 12
+
+
+def test_conv_peak_holds_no_padded_activation(monkeypatch):
+    """Each direction allocates at most its outputs, one band of the patch
+    matrix and a quarter of the input besides: the band gather reads the
+    padding virtually, so neither the padded input nor a padded spread of
+    d_out is ever built."""
+    monkeypatch.setattr(nn, "CHUNK_BYTES", 64 << 10, raising=False)
+    x, w, b, r = conv_case(0, 2, 16, 16, 96, 96, 3, 1, 1)
+    p = nn.ConvParams(t32(w), t32(b), padding=1)
+    x, r = t32(x), t32(r)
+    k = 16 * 3 * 3
+    band_bytes = 8 * k * max(m1 - m0 for m0, m1 in nn._bands(2 * 96 * 96, 8 * k, 16 * k))
+    def backward():
+        grads = nn.conv2d_backward(x, p, r)
+        return [grads.d_input, *grads.d_params.values()]
+
+    for run in (lambda: [nn.conv2d_forward(x, p)], backward):
+        tracemalloc.start()
+        try:
+            outputs = sum(t.array.nbytes for t in run())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < outputs + band_bytes + x.array.nbytes / 4
 
 
 # Shapes whose products end in a partial 16-column micro-panel unless
