@@ -154,7 +154,6 @@ class LabeledDataset:
     """
 
     items: list[tuple[object, int]]
-    label_names: tuple[str, ...] = LABEL_NAMES
     warnings: list[str] = field(default_factory=list)
 
     def __len__(self) -> int:
@@ -168,7 +167,7 @@ class LabeledDataset:
         return self.items[i][1]
 
     def counts(self) -> list[int]:
-        out = [0] * len(self.label_names)
+        out = [0] * len(LABEL_NAMES)
         for _, lbl in self.items:
             out[lbl] += 1
         return out
@@ -209,10 +208,7 @@ def split(ds: LabeledDataset, val_fraction: float, seed: int) -> tuple[LabeledDa
     n_val = int(n * val_fraction)
     val = [ds.items[i] for i in order[:n_val]]
     train = [ds.items[i] for i in order[n_val:]]
-    return (
-        LabeledDataset(items=train, label_names=ds.label_names),
-        LabeledDataset(items=val, label_names=ds.label_names),
-    )
+    return LabeledDataset(items=train), LabeledDataset(items=val)
 
 
 # --- augmentation -----------------------------------------------------------

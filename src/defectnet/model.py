@@ -395,16 +395,18 @@ def spec_from_params(params: dict[str, Tensor], input_size: int | None = None) -
             raise ValueError(f"{name} has rank {params[name].rank}, expected {rank}")
         return params[name].shape
 
+    def count(name: str) -> int:
+        """How many of name % 1, name % 2, ... are present, up to the first gap."""
+        n = 0
+        while name % (n + 1) in params:
+            n += 1
+        return n
+
     blocks: list[tuple[int, int]] = []
-    b = 1
-    while f"block{b}.conv1.w" in params:
-        i = 1
-        filters = None
-        while f"block{b}.conv{i}.w" in params:
-            filters = shape(f"block{b}.conv{i}.w", 4)[0]
-            i += 1
-        blocks.append((i - 1, filters))
-        b += 1
+    for b in range(1, count("block%d.conv1.w") + 1):
+        filters = [shape(f"block{b}.conv{i}.w", 4)[0]
+                   for i in range(1, count(f"block{b}.conv%d.w") + 1)]
+        blocks.append((len(filters), filters[-1]))
     if not blocks:
         raise ValueError("parameter map contains no convolution blocks")
     in_channels = shape("block1.conv1.w", 4)[1]
@@ -412,12 +414,8 @@ def spec_from_params(params: dict[str, Tensor], input_size: int | None = None) -
         raise ValueError("parameter map has no classifier head")
     num_classes = shape("head.out.w", 2)[1]
     if "head.fc1.w" in params:
-        widths = []
-        i = 1
-        while f"head.fc{i}.w" in params:
-            widths.append(shape(f"head.fc{i}.w", 2)[1])
-            i += 1
-        head: Head = FcHead(tuple(widths))
+        head: Head = FcHead(tuple(shape(f"head.fc{i}.w", 2)[1]
+                                  for i in range(1, count("head.fc%d.w") + 1)))
         flat = shape("head.fc1.w", 2)[0]
         side = int(round(math.sqrt(flat / blocks[-1][1])))
         size = side * (2 ** len(blocks))

@@ -24,7 +24,8 @@ each of its bands keeps the bits of the one whole product: d_input
 correlates the (O, N, oh, ow) view of d_out (zero-inserted between
 strides only when the stride exceeds 1), virtually padded by k-1-pad,
 with the flipped, transposed filters, and rounds once. d_w sums
-d_out @ cols.T over the same bands in float64 and rounds once.
+d_out @ cols.T over the same bands in float64 and rounds once, taking
+d_out's bands from the same walk as the 1x1 patch matrix of that view.
 """
 
 from __future__ import annotations
@@ -162,18 +163,17 @@ def _span(lo: int, hi: int, pad: int, tap: int, stride: int, size: int) -> tuple
     return a, max(min(hi, (size - 1 + pad - tap) // stride + 1), a)
 
 
-def _patch_bands(x: np.ndarray, pad, out_ch, kh, kw, stride, oh, ow):
-    """Yield (boxes, cols) for each band of the float64 patch matrix of an
-    unpadded (C, N, H, W) input, zero-padded by pad = (rows, columns), that
-    a GEMM with out_ch output rows reads, in ascending column order; every
-    band reuses one buffer. The boxes cover the band's real columns, and the
-    columns past the last real one are zero. Each band is filled tap (i, j)
-    by tap, then box by box: the in-range rectangle is copied, and the edge
-    strips that would read the padding are zeroed."""
+def _patch_bands(x: np.ndarray, pad, bands, kh, kw, stride, oh, ow):
+    """Yield (boxes, cols) for each band (m0, m1) of bands, in order, of the
+    float64 patch matrix of an unpadded (C, N, H, W) input, zero-padded by
+    pad = (rows, columns); every band reuses one buffer. The boxes cover the
+    band's real columns, and the columns past the last real one are zero.
+    Each band is filled tap (i, j) by tap, then box by box: the in-range
+    rectangle is copied, and the edge strips that would read the padding
+    are zeroed."""
     taps = kh * kw
     (c, n, h, w), (ph, pw) = x.shape, pad
     k, m = c * taps, n * oh * ow
-    bands = _bands(m, 8 * k, out_ch * k)
     buf = np.empty(k * max(b - a for a, b in bands), dtype=np.float64)
     for m0, m1 in bands:
         boxes = _boxes(m0, min(m1, m), oh, ow)
@@ -210,7 +210,9 @@ def _correlate(x: np.ndarray, pad, w64: np.ndarray, bias, kh, kw, stride, oh, ow
     (C, N, H, W) input, for pad = (ph, pw): one _mm64 per band of the patch
     matrix."""
     out = np.empty((x.shape[1], len(w64), oh, ow), dtype=np.float32)
-    for boxes, cols in _patch_bands(x, pad, len(w64), kh, kw, stride, oh, ow):
+    k = x.shape[0] * kh * kw
+    bands = _bands(x.shape[1] * oh * ow, 8 * k, len(w64) * k)
+    for boxes, cols in _patch_bands(x, pad, bands, kh, kw, stride, oh, ow):
         band = _mm64(w64, cols) + bias[:, None]
         for off, box in boxes:
             n0, n1, y0, y1, x0, x1 = box
@@ -239,16 +241,15 @@ def conv2d_backward(x: Tensor, p: ConvParams, d_out: Tensor, with_input=True) ->
     d_bias = np.sum(d_out.array, axis=(0, 2, 3), dtype=np.float64).astype(np.float32)
 
     # d_w: d_out @ cols.T over the forward's bands of patch columns, summed
-    # in float64 in ascending band order and rounded once. d_band's padding
-    # columns must be zero, not merely meet zero columns: 0 * NaN is NaN.
+    # in float64 in ascending band order and rounded once; d_out's band is
+    # the 1x1 patch matrix of its (O, N, oh, ow) view on the same edges.
     d_t = d_out.array.transpose(1, 0, 2, 3)
-    d_w = np.zeros((out_ch, c * kh * kw), dtype=np.float64)
-    for boxes, cols in _patch_bands(x.array.transpose(1, 0, 2, 3), (pad, pad), out_ch,
-                                    kh, kw, s, oh, ow):
-        d_band = np.zeros((out_ch, cols.shape[1]), dtype=np.float64)
-        for off, box in boxes:
-            n0, n1, y0, y1, x0, x1 = box
-            _band_view(d_band, off, box)[...] = d_t[:, n0:n1, y0:y1, x0:x1]
+    k = c * kh * kw
+    bands = _bands(n * oh * ow, 8 * k, out_ch * k)
+    d_w = np.zeros((out_ch, k), dtype=np.float64)
+    for (_, cols), (_, d_band) in zip(
+            _patch_bands(x.array.transpose(1, 0, 2, 3), (pad, pad), bands, kh, kw, s, oh, ow),
+            _patch_bands(d_t, (0, 0), bands, 1, 1, 1, oh, ow)):
         d_w += _mm64(d_band, cols.T, np.float64)
     del cols, d_band
 

@@ -21,6 +21,7 @@ from . import model as model_mod
 from . import nn
 from .data import AugmentParams, LabeledDataset, RasterImage, augment, image_to_tensor
 from .errors import DatasetError, DivergenceError, ShapeError
+from .labels import LABEL_NAMES
 from .metrics import ConfusionMatrix
 from .model import Model
 from .tensor import Tensor
@@ -145,14 +146,12 @@ def _check_finite(where: str, loss: float, params: dict[str, Tensor],
 
 
 def _check_datasets(model: Model, *datasets: LabeledDataset):
+    if model.spec.num_classes != len(LABEL_NAMES):
+        raise DatasetError(f"model classifies {model.spec.num_classes} classes but the dataset "
+                           f"has {len(LABEL_NAMES)} labels")
     for ds in datasets:
         if len(ds) == 0:
             raise DatasetError("dataset is empty")
-        if len(ds.label_names) != model.spec.num_classes:
-            raise DatasetError(
-                f"model classifies {model.spec.num_classes} classes but the dataset "
-                f"has {len(ds.label_names)} labels"
-            )
 
 
 def train(model: Model, train_ds: LabeledDataset, val_ds: LabeledDataset,
@@ -210,7 +209,7 @@ def _evaluate_with_loss(model: Model, ds: LabeledDataset,
         preds = np.argmax(trace.probs.array, axis=1)
         for t, p in zip(targets, preds):
             counts[t][int(p)] += 1
-    cm = ConfusionMatrix.from_rows(counts, ds.label_names)
+    cm = ConfusionMatrix.from_rows(counts)
     return cm, loss_sum / len(ds)
 
 

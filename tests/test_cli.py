@@ -7,7 +7,7 @@ from defectnet.data import encode_ppm
 from defectnet.errors import ConfigError
 from defectnet.model import ArchSpec, FcHead, GapHead, build
 from defectnet.tensor import Tensor
-from defectnet.weights_io import write_weights
+from defectnet.weights_io import read_weights, write_weights
 
 
 def write_model(path, model, input_size=None):
@@ -170,6 +170,57 @@ class TestTrain:
         line = next(l for l in meta.splitlines() if l.startswith("trainable_params"))
         assert "block2" in line and "head.out.w" in line
         assert "block1" not in line
+
+    def test_transfer_from_init_weights_keeps_the_frozen_block(self, tmp_path):
+        data = tmp_path / "data"
+        small_tree(data)
+        cfg = toy_config(tmp_path, data, tmp_path / "base", custom_blocks="1x4,1x8")
+        assert main(["train", "--config", str(cfg)]) == 0
+        base = tmp_path / "base" / "model.dnw"
+        cfg = toy_config(tmp_path, data, tmp_path / "run", custom_blocks="1x4,1x8",
+                         init_weights=base, freeze_blocks=1, seed=4)
+        assert main(["train", "--config", str(cfg)]) == 0
+        with open(base, "rb") as fh:
+            before = read_weights(fh)
+        with open(tmp_path / "run" / "model.dnw", "rb") as fh:
+            after = read_weights(fh)
+        assert list(after) == list(before)
+        for name in before:
+            kept = after[name].array.tobytes() == before[name].array.tobytes()
+            assert kept == name.startswith("block1."), name
+        meta = (tmp_path / "run" / "run.meta").read_text()
+        line = next(l for l in meta.splitlines() if l.startswith("trainable_params"))
+        assert "block2" in line and "block1" not in line
+
+    def test_strict_init_against_a_different_head_exit_3(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        small_tree(data)
+        other = tmp_path / "other.dnw"
+        write_model(other, build(ArchSpec(((1, 4), (1, 8)), GapHead(), num_classes=10,
+                                          input_size=16), seed=0))
+        cfg = toy_config(tmp_path, data, tmp_path / "run", custom_blocks="1x4,1x8",
+                         init_weights=other, init_policy="strict")
+        assert main(["train", "--config", str(cfg)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "shape mismatch on 'head.out.w'" in err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("override, message", [
+        # lr * gradient overflows float32 in the first update
+        ({"custom_blocks": "1x4", "input_size": 8, "learning_rate": "1e39"},
+         "training diverged at epoch 1, step 1: "
+         "parameter 'block1.conv1.w' holds non-finite values"),
+        ({"custom_blocks": "1x4,1x8", "steps_per_epoch": 1, "learning_rate": "1e20"},
+         "training diverged at epoch 1, validation: the logits are not finite"),
+    ], ids=["parameter", "validation"])
+    def test_diverging_run_exit_3_writes_nothing(self, tmp_path, capsys, override, message):
+        data = tmp_path / "data"
+        small_tree(data, size=override.get("input_size", 16))
+        cfg = toy_config(tmp_path, data, tmp_path / "run", **override)
+        assert main(["train", "--config", str(cfg)]) == 3
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "run").exists()
 
     def test_missing_config_exit_2(self, tmp_path):
         assert main(["train", "--config", str(tmp_path / "nope.cfg")]) == 2

@@ -202,6 +202,16 @@ class TestEvaluate:
             evaluate(build(TOY, seed=0), LabeledDataset(items=[]))
 
 
+def test_train_and_evaluate_reject_a_model_of_other_classes():
+    m = build(ArchSpec(((1, 4),), GapHead(), num_classes=3, in_channels=3, input_size=8), seed=0)
+    ds = color_dataset()
+    message = "model classifies 3 classes but the dataset has 4 labels"
+    with pytest.raises(DatasetError, match=message):
+        train(m, ds, ds, AUG_OFF, TrainConfig(epochs=1, batch_size=1, steps_per_epoch=1))
+    with pytest.raises(DatasetError, match=message):
+        evaluate(m, ds)
+
+
 def test_history_csv_format():
     hist = TrainHistory(epochs=[])
     from defectnet.train import EpochStats

@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from defectnet import weights_io
 from defectnet.errors import ArchiveError
 from defectnet.model import ArchSpec, GapHead, arch_preset, build, param_block, replace_head
 from defectnet.tensor import Tensor
@@ -120,6 +121,17 @@ class TestRoundTrip:
         assert list(got) == list(m.params)
         for name in m.params:
             assert np.array_equal(got[name].array, m.params[name].array), name
+
+    def test_payload_larger_than_the_first_read_buffer(self):
+        w = np.random.default_rng(9).normal(size=4_500_000).astype(np.float32)
+        assert w.nbytes > weights_io._CHUNK  # so _read_exact grows its buffer
+        buf = io.BytesIO()
+        write_weights(params_only({"big.w": Tensor(w)}), buf)
+        data = buf.getvalue()
+        got = read_weights(io.BytesIO(data))
+        assert list(got) == ["big.w"] and got["big.w"].array.tobytes() == w.tobytes()
+        with pytest.raises(ArchiveError, match=r"truncated.*'big\.w'.*payload"):
+            read_weights(io.BytesIO(data[:-1]))
 
     def test_random_maps_bitwise(self):
         rng = np.random.default_rng(7)
