@@ -6,11 +6,12 @@ trainability flags. Names encode (block, layer, role), e.g.
 well-defined. Two presets ship: "paper-vgg16" (filter widths
 32/64/128/256/256) and "canonical-vgg16" (64/128/256/512/512).
 
-`layers(spec)` lists the layers of an ArchSpec in forward order: conv +
-ReLU pairs, each block's last ReLU folded into its max pool, then the
-head. build, replace_head, forward and loss_and_gradients all walk that
-list, and param_shapes reads the parameter names and shapes off it, so
-it is the one place that knows the order of layers and parameters.
+`layers(spec)` lists the layers of an ArchSpec in forward order: one
+layer per conv, which applies its ReLU as it writes its output and, at a
+block's end, the max pool before that ReLU, then the head. build,
+replace_head, forward and loss_and_gradients all walk that list, and
+param_shapes reads the parameter names and shapes off it, so it is the
+one place that knows the order of layers and parameters.
 
 The default head is GAP -> single dense -> softmax, which serves both
 classification and class-activation mapping; a conventional FC head is
@@ -147,13 +148,19 @@ def _param_grads(name: str, lg: nn.LayerGradients):
 
 @dataclass(frozen=True)
 class Conv(Layer):
-    """3x3 same-padded, stride-1 convolution. The first conv of a model
+    """3x3 same-padded, stride-1 convolution and its ReLU. A block's last conv
+    also max-pools its output before the ReLU, as the conv writes it, so the
+    full-size map of that conv is never built: max and ReLU commute, and
+    np.maximum(+-0, 0) is +0, so the bits are those of a pool of the ReLU.
+    Its ctx keeps the input, the output (the array the next layer keeps as
+    its input) and, after a pool, the pool's mask. The first conv of a model
     reads the input batch, whose gradient nothing uses, so it skips d_input."""
 
     name: str
     in_ch: int
     out_ch: int
     first: bool = False
+    pool: bool = False
 
     def shapes(self):
         return {f"{self.name}.w": (self.out_ch, self.in_ch, KERNEL, KERNEL),
@@ -162,10 +169,21 @@ class Conv(Layer):
     def forward(self, params, x):
         cp = nn.ConvParams(params[f"{self.name}.w"], params[f"{self.name}.b"],
                            stride=1, padding=KERNEL // 2)
-        return nn.conv2d_forward(x, cp), (x, cp)
+        out = nn.conv2d_forward(x, cp, relu=True, pool=self.pool)
+        y, mask = out if self.pool else (out, None)
+        return y, [x, cp, y, mask]
 
     def backward(self, ctx, dy):
-        return _param_grads(self.name, nn.conv2d_backward(*ctx, dy, with_input=not self.first))
+        """The ReLU's and the pool's backward, then the conv's. ctx (a list)
+        is emptied and dy dropped once read, so neither the output nor its
+        gradient stays alive through the conv's own backward."""
+        x, cp, y, mask = ctx
+        ctx.clear()
+        d = nn.relu_backward(y, dy)
+        del y, dy
+        if mask is not None:
+            d = nn.maxpool2d_backward(mask, d)
+        return _param_grads(self.name, nn.conv2d_backward(x, cp, d, with_input=not self.first))
 
 
 @dataclass(frozen=True)
@@ -198,22 +216,6 @@ class Relu(Layer):
         return nn.relu_backward(ctx, dy), {}
 
 
-class ReluMaxPool(Layer):
-    """A block's last ReLU and its 2x2 max pool. It pools the conv output and
-    rectifies the quarter-size result: max and ReLU commute, and
-    np.maximum(+-0, 0) is +0, so the bits are those of a pool of the ReLU.
-    Its ctx is the pool's mask and its output, the array the next layer keeps."""
-
-    def forward(self, params, x):
-        pooled, mask = nn.maxpool2d_forward(x)
-        y = nn.relu(pooled)
-        return y, (mask, y)
-
-    def backward(self, ctx, dy):
-        mask, y = ctx
-        return nn.maxpool2d_backward(mask, nn.relu_backward(y, dy)), {}
-
-
 class GlobalAvgPool(Layer):
     def forward(self, params, x):
         return nn.global_avg_pool(x), x.shape
@@ -240,8 +242,8 @@ def layers(spec: ArchSpec) -> tuple[list[Layer], list[Layer]]:
     in_ch = spec.in_channels
     for b, (count, filters) in enumerate(spec.blocks, 1):
         for i in range(1, count + 1):
-            features += [Conv(f"block{b}.conv{i}", in_ch, filters, first=not features),
-                         Relu() if i < count else ReluMaxPool()]
+            features.append(Conv(f"block{b}.conv{i}", in_ch, filters, first=not features,
+                                 pool=i == count))
             in_ch = filters
     if isinstance(spec.head, GapHead):
         head: list[Layer] = [GlobalAvgPool()]
@@ -359,10 +361,14 @@ def loss_and_gradients(model: Model, batch: Tensor, targets) -> tuple[float, Ten
     probs = _run(model, batch, tape).probs
     loss = nn.cross_entropy(probs, targets)
     grads: dict[str, Tensor] = {}
-    d = nn.cross_entropy_backward(probs, targets)
+    # The gradient waits between backwards in a list that each call empties,
+    # so no name here holds it while the backward that received it runs.
+    d = [nn.cross_entropy_backward(probs, targets)]
     while tape:
         layer, ctx = tape.pop()
-        d, layer_grads = layer.backward(ctx, d)
+        dx, layer_grads = layer.backward(ctx, d.pop())
+        d.append(dx)
+        del dx
         grads.update(layer_grads)
     return loss, probs, grads
 

@@ -26,10 +26,20 @@ strides only when the stride exceeds 1), virtually padded by k-1-pad,
 with the flipped, transposed filters, and rounds once. d_w sums
 d_out @ cols.T over the same bands in float64 and rounds once, taking
 d_out's bands from the same walk as the 1x1 patch matrix of that view.
+
+_correlate has one epilogue: each band's product lands in one reused
+float64 buffer and is rounded straight into the output, where the bias is
+added in place (d_input adds a zero bias, which turns -0.0 into +0.0).
+conv2d_forward can rectify the output there in place, and max-pool it
+first: a pooled forward's bands hold whole pairs of output rows (their
+edges fall on multiples of lcm(16, 2*ow)), each is rounded into a reused
+float32 band with its bias and pooled into the quarter-size output, so
+the full-size map is never built.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -108,23 +118,31 @@ _BAND_ALIGN = 16
 _SMALL_GEMM = 100 ** 3
 
 
-def _bands(length: int, line_bytes: int, other: int) -> list[tuple[int, int]]:
+def _bands(length: int, line_bytes: int, other: int, align: int = 1) -> list[tuple[int, int]]:
     """Split the patch columns [0, length) of one GEMM, zero-padded to a
-    multiple of 16, into near-equal bands of whole 16-column units.
+    multiple of 16, into near-equal bands whose inner edges fall on
+    multiples of lcm(16, align).
 
     line_bytes is the float64 operand size of one column and other the
     product of the GEMM's two other dimensions. Each band holds at most
-    CHUNK_BYTES of operand, unless one 16-column unit or the small-matrix
-    limit asks for more.
+    CHUNK_BYTES of operand, unless one unit of lcm(16, align) columns or the
+    small-matrix limit asks for more.
     """
-    units = -(-length // _BAND_ALIGN)
-    cap_units = max(1, CHUNK_BYTES // (line_bytes * _BAND_ALIGN))
-    min_units = _SMALL_GEMM // (other * _BAND_ALIGN) + 1
+    unit = math.lcm(_BAND_ALIGN, align)
+    end = -(-length // _BAND_ALIGN) * _BAND_ALIGN
+    units = -(-end // unit)
+    cap_units = max(1, CHUNK_BYTES // (line_bytes * unit))
+    min_units = _SMALL_GEMM // (other * unit) + 1
     count = max(1, min(-(-units // cap_units), units // min_units))
     q, r = divmod(units, count)
     edges = [0]
     for b in range(count):
-        edges.append(edges[-1] + (q + (b < r)) * _BAND_ALIGN)
+        edges.append(edges[-1] + (q + (b < r)) * unit)
+    # The last band ends at the last 16-column panel; cut short of a whole
+    # unit, it joins the band before it if it would fall to the small kernel.
+    edges[-1] = end
+    if count > 1 and (end - edges[-2]) * other <= _SMALL_GEMM:
+        del edges[-2]
     return list(zip(edges[:-1], edges[1:]))
 
 
@@ -204,32 +222,68 @@ def _patch_bands(x: np.ndarray, pad, bands, kh, kw, stride, oh, ow):
         yield boxes, cols
 
 
-def _correlate(x: np.ndarray, pad, w64: np.ndarray, bias, kh, kw, stride, oh, ow) -> np.ndarray:
+def _correlate(x: np.ndarray, pad, w64: np.ndarray, bias, kh, kw, stride, oh, ow,
+               relu=False, pool=False):
     """NCHW float32 out[n,o,y,x] = bias[o] + sum over c,i,j of
     x[c,n,y*stride+i-ph,x*stride+j-pw] * w64[o,(c,i,j)], zero outside a
     (C, N, H, W) input, for pad = (ph, pw): one _mm64 per band of the patch
-    matrix."""
-    out = np.empty((x.shape[1], len(w64), oh, ow), dtype=np.float32)
-    k = x.shape[0] * kh * kw
-    bands = _bands(x.shape[1] * oh * ow, 8 * k, len(w64) * k)
+    matrix into one reused float64 buffer, rounded into the output, where
+    the bias is added in place.
+
+    With pool, each band holds whole pairs of output rows and is max-pooled
+    as it is written, so only the quarter-size map is built; (pooled, winner
+    codes) is returned. relu then rectifies the output in place.
+    """
+    (c, n), o = x.shape[:2], len(w64)
+    k, f = c * kh * kw, 2 if pool else 1
+    bands = _bands(n * oh * ow, 8 * k, o * k, 2 * ow if pool else 1)
+    out = np.empty((n, o, oh // f, ow // f), dtype=np.float32)
+    width = max(b - a for a, b in bands)
+    product = np.empty(o * width)
+    if pool:
+        # the pool compares the rounded sums, so they go to a float32 band
+        code = np.empty(out.shape, dtype=np.uint8)
+        conv = np.empty(o * width, dtype=np.float32)
     for boxes, cols in _patch_bands(x, pad, bands, kh, kw, stride, oh, ow):
-        band = _mm64(w64, cols) + bias[:, None]
+        band = _mm64(w64, cols, out=product[: o * cols.shape[1]].reshape(o, -1))
+        if pool:
+            band = np.add(band, bias[:, None], out=conv[: band.size].reshape(band.shape),
+                          dtype=np.float32)
         for off, box in boxes:
             n0, n1, y0, y1, x0, x1 = box
-            out[n0:n1, :, y0:y1, x0:x1] = _band_view(band, off, box).transpose(1, 0, 2, 3)
-    return out
+            if pool:
+                dst = out[n0:n1, :, y0 // 2 : y1 // 2]
+                _pool(_band_view(band, off, box), dst.transpose(1, 0, 2, 3),
+                      code[n0:n1, :, y0 // 2 : y1 // 2].transpose(1, 0, 2, 3))
+            else:
+                dst = out[n0:n1, :, y0:y1, x0:x1]
+                dst.transpose(1, 0, 2, 3)[...] = _band_view(band, off, box)
+                dst += bias[:, None, None]
+            if relu:
+                np.maximum(dst, np.float32(0.0), out=dst)
+    return (out, code) if pool else out
 
 
-def conv2d_forward(x: Tensor, p: ConvParams) -> Tensor:
+def conv2d_forward(x: Tensor, p: ConvParams, relu=False,
+                   pool=False) -> Tensor | tuple[Tensor, PoolMask]:
     """Cross-correlate an NCHW batch with the filter bank.
 
     out[n,o,y,x] = bias[o] + sum over c,i,j of
     input[n,c,y*s+i-pad,x*s+j-pad] * w[o,c,i,j], zero outside bounds.
+
+    pool max-pools the output as maxpool2d_forward does and returns
+    (pooled, PoolMask); relu then rectifies the result. Both run on each
+    band of the output as it is written, with the bits of the separate ops.
     """
     n, c, h, w, out_ch, kh, kw, oh, ow = _conv_geometry(x.shape, p)
+    if pool and (oh % 2 or ow % 2):
+        raise ShapeError(f"spatial dims must be divisible by 2, got {oh}x{ow}")
     w64 = p.weights.array.reshape(out_ch, -1).astype(np.float64)
-    return Tensor._wrap(_correlate(x.array.transpose(1, 0, 2, 3), (p.padding, p.padding), w64,
-                                   p.bias.array, kh, kw, p.stride, oh, ow))
+    out = _correlate(x.array.transpose(1, 0, 2, 3), (p.padding, p.padding), w64,
+                     p.bias.array, kh, kw, p.stride, oh, ow, relu, pool)
+    if pool:
+        return Tensor._wrap(out[0]), PoolMask(out[1], (n, out_ch, oh, ow))
+    return Tensor._wrap(out)
 
 
 def conv2d_backward(x: Tensor, p: ConvParams, d_out: Tensor, with_input=True) -> LayerGradients:
@@ -288,31 +342,38 @@ def _select(keep: np.ndarray, a: np.ndarray, b: np.ndarray | None = None,
     return out
 
 
+def _pool(a: np.ndarray, out: np.ndarray, code: np.ndarray) -> None:
+    """2x2/stride-2 max pool over the last two axes of a, into out, with
+    each winner's position in code: the two columns of each window are
+    compared first, then the winners of its top and bottom rows."""
+    left, right = a[..., 0::2], a[..., 1::2]
+    keep_left = left >= right
+    keep_left |= np.isnan(left)
+    best = _select(keep_left, left, right)
+    top, bottom = best[..., 0::2, :], best[..., 1::2, :]
+    keep_top = top >= bottom
+    keep_top |= np.isnan(top)
+    _select(keep_top, top, bottom, out=out)
+    # code = 2 * row + column of the winner = 3 - (2 * keep_top + its row's keep_left)
+    won_left = keep_top & keep_left[..., 0::2, :]
+    won_left |= ~keep_top & keep_left[..., 1::2, :]
+    np.multiply(keep_top.view(np.uint8), np.uint8(2), out=code)
+    code += won_left.view(np.uint8)
+    np.subtract(np.uint8(3), code, out=code)
+
+
 def maxpool2d_forward(x: Tensor) -> tuple[Tensor, PoolMask]:
     """2x2/stride-2 max pooling with the rules of argmax: the first maximum
     in row-major order wins, and a NaN wins over any number, the first NaN
-    over later ones. The two columns of each window are compared first,
-    then the winners of its top and bottom rows."""
+    over later ones."""
     if x.rank != 4:
         raise ShapeError(f"maxpool input must be NCHW, got {x.shape}")
     n, c, h, w = x.shape
     if h % 2 or w % 2:
         raise ShapeError(f"spatial dims must be divisible by 2, got {h}x{w}")
-    a = x.array
-    left, right = a[:, :, :, 0::2], a[:, :, :, 1::2]
-    keep_left = left >= right
-    keep_left |= np.isnan(left)
-    best = _select(keep_left, left, right)
-    top, bottom = best[:, :, 0::2], best[:, :, 1::2]
-    keep_top = top >= bottom
-    keep_top |= np.isnan(top)
-    out = _select(keep_top, top, bottom)
-    # code = 2 * row + column of the winner = 3 - (2 * keep_top + its row's keep_left)
-    won_left = keep_top & keep_left[:, :, 0::2]
-    won_left |= ~keep_top & keep_left[:, :, 1::2]
-    code = keep_top.view(np.uint8) * np.uint8(2)
-    code += won_left.view(np.uint8)
-    np.subtract(np.uint8(3), code, out=code)
+    out = np.empty((n, c, h // 2, w // 2), dtype=np.float32)
+    code = np.empty(out.shape, dtype=np.uint8)
+    _pool(x.array, out, code)
     return Tensor._wrap(out), PoolMask(code, (n, c, h, w))
 
 

@@ -81,11 +81,16 @@ class Tensor:
         return f"Tensor(shape={list(self.shape)})"
 
 
-def _mm64(a: np.ndarray, b: np.ndarray, dtype=np.float32) -> np.ndarray:
+def _mm64(a: np.ndarray, b: np.ndarray, dtype=np.float32, out: np.ndarray | None = None) -> np.ndarray:
     """Matrix product with 64-bit accumulation, rounded to float32 unless
-    dtype asks for the float64 product (for a sum that rounds once).
+    dtype asks for the float64 product (for a sum that rounds once). A
+    contiguous float64 out receives the unrounded product in place of a new
+    array (the conv band walk reuses one).
 
     Operands already in float64 (the conv patch matrices) pass through
     without a copy; float32 operands are widened first.
     """
-    return (a.astype(np.float64, copy=False) @ b.astype(np.float64, copy=False)).astype(dtype, copy=False)
+    a, b = a.astype(np.float64, copy=False), b.astype(np.float64, copy=False)
+    if out is not None:
+        return np.matmul(a, b, out=out)
+    return (a @ b).astype(dtype, copy=False)

@@ -42,8 +42,9 @@ class TrainConfig:
         for name in ("batch_size", "steps_per_epoch"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
-        if not 0 < self.learning_rate < np.inf:
-            raise ValueError("learning_rate must be finite and > 0")
+        # sgd_step scales float32 gradients by it, so it must fit in float32
+        if not 0 < self.learning_rate <= float(np.finfo(np.float32).max):
+            raise ValueError("learning_rate must be > 0 and finite in float32")
         if not 0.0 <= self.momentum < 1.0:
             raise ValueError("momentum must be in [0,1)")
         if self.seed < 0:

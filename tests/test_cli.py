@@ -207,10 +207,10 @@ class TestTrain:
         assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("override, message", [
-        # lr * gradient overflows float32 in the first update
-        ({"custom_blocks": "1x4", "input_size": 8, "learning_rate": "1e39"},
-         "training diverged at epoch 1, step 1: "
-         "parameter 'block1.conv1.w' holds non-finite values"),
+        # a rate just under float32's largest value: the second update overflows
+        ({"custom_blocks": "1x4", "input_size": 8, "learning_rate": "3.4e38", "seed": 0},
+         "training diverged at epoch 1, step 2: "
+         "parameter 'block1.conv1.b' holds non-finite values"),
         ({"custom_blocks": "1x4,1x8", "steps_per_epoch": 1, "learning_rate": "1e20"},
          "training diverged at epoch 1, validation: the logits are not finite"),
     ], ids=["parameter", "validation"])
@@ -261,6 +261,7 @@ class TestTrain:
         {"input_size": 0},
         pytest.param({"learning_rate": "nan"}, id="learning_rate-nan"),
         pytest.param({"learning_rate": "inf"}, id="learning_rate-inf"),
+        pytest.param({"learning_rate": "1e39"}, id="learning_rate-float32-overflow"),
         pytest.param({"arch": b"custom\xff"}, id="not-utf8"),
         pytest.param({"fc_widths": 100000000000, "head": "fc"}, id="fc_widths-huge"),
     ], ids=lambda o: next(iter(o)))

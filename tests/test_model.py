@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -196,6 +198,49 @@ class TestForward:
             tracemalloc.stop()
         assert peak < 2 * act + band + act / 4
 
+    def test_untaped_forward_never_builds_a_block_end_map(self, monkeypatch):
+        """A block's last conv pools each band of its output as it writes it,
+        so beside its input it holds only the pooled map, the pool's mask and
+        one band: never its own full-size output, here a 16-channel 128 px
+        map like its input. The first conv's output is that input."""
+        import tracemalloc
+        monkeypatch.setattr(nn, "CHUNK_BYTES", 64 << 10)
+        spec = ArchSpec(((2, 16),), GapHead(), num_classes=4, in_channels=3, input_size=128)
+        m = build(spec, seed=0)
+        x = Tensor(np.random.default_rng(7).uniform(0, 1, (2, 3, 128, 128)).astype(np.float32))
+        act = 2 * 16 * 128 * 128 * 4
+        bands, real_patch_bands = [], nn._patch_bands
+
+        def patch_bands(*args):
+            for boxes, cols in real_patch_bands(*args):
+                bands.append(cols.nbytes)
+                yield boxes, cols
+
+        monkeypatch.setattr(nn, "_patch_bands", patch_bands)
+        tracemalloc.start()
+        try:
+            forward(m, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        band = max(bands)
+        # the input, the pooled map, one band, and a quarter of the input
+        # for the mask, the band's product and the pool's temporaries
+        assert peak < act + act / 4 + band + act / 4
+
+    def test_batch_forward_equals_each_image_alone(self, monkeypatch):
+        """A batch's outputs equal those of each image run alone, bit for bit,
+        with bands that split inside images and cross their edges."""
+        monkeypatch.setattr(nn, "CHUNK_BYTES", 64 << 10)
+        m = build(arch_preset("paper-vgg16", input_size=64), seed=3)
+        x = np.random.default_rng(8).uniform(0, 1, (5, 3, 64, 64)).astype(np.float32)
+        batch = forward(m, Tensor(x))
+        for i in range(len(x)):
+            one = forward(m, Tensor(x[i : i + 1]))
+            for name in ("final_conv_maps", "logits", "probs"):
+                got, want = getattr(batch, name).array[i : i + 1], getattr(one, name).array
+                assert got.tobytes() == want.tobytes(), (i, name)
+
     def test_wrong_input_shape(self):
         m = build(TOY, seed=0)
         with pytest.raises(ShapeError):
@@ -311,8 +356,8 @@ class TestLossAndGradients:
         assert loss > 0
 
     def test_relu_ctx_is_the_array_the_next_layer_receives(self, monkeypatch):
-        # a ReLU before a conv, a ReLU folded into the block's pool, and a
-        # ReLU between two denses
+        # a conv with its ReLU, a block's last conv with its pool and ReLU,
+        # and a ReLU between two denses
         import defectnet.model as model_mod
 
         received = []
@@ -334,18 +379,18 @@ class TestLossAndGradients:
         x = np.random.default_rng(3).normal(size=(2, 1, 4, 4)).astype(np.float32)
         model_mod._run(m, Tensor(x), tape)
         relus = [k for k, (rec, _) in enumerate(tape) if isinstance(rec.layer, model_mod.Relu)]
-        pools = [k for k, (rec, _) in enumerate(tape)
-                 if isinstance(rec.layer, model_mod.ReluMaxPool)]
-        assert len(tape) == 8 and len(relus) == 2 and pools == [3]
+        convs = [k for k, (rec, _) in enumerate(tape) if isinstance(rec.layer, model_mod.Conv)]
+        pools = [k for k in convs if tape[k][0].layer.pool]
+        assert len(tape) == 6 and relus == [4] and convs == [0, 1] and pools == [1]
         for k in relus:
             assert tape[k][1].array is received[k + 1]
-        for k in pools:
-            assert tape[k][1][1].array is received[k + 1]
+        for k in convs:
+            assert tape[k][1][2].array is received[k + 1]
 
     def test_backward_frees_each_ctx_once_no_layer_below_reads_it(self, monkeypatch):
         """When a layer's backward runs, the ctx arrays of the layers above it
-        are gone, save those that a layer at or below it keeps as well (the
-        output of a ReLU, or of a block's ReLU and pool, is the next layer's
+        are gone, save those that a layer at or below it keeps as well (a
+        conv's rectified output, pooled at a block's end, is the next layer's
         input)."""
         import weakref
 
@@ -366,7 +411,7 @@ class TestLossAndGradients:
                 y, ctx = self.layer.forward(params_, x)
                 self.index = len(refs)
                 parts = [getattr(c, "array", getattr(c, "window_argmax", None))
-                         for c in (ctx if isinstance(ctx, tuple) else (ctx,))]
+                         for c in (ctx if isinstance(ctx, (tuple, list)) else (ctx,))]
                 refs.append([weakref.ref(a) for a in parts
                              if isinstance(a, np.ndarray) and id(a) not in params])
                 return y, ctx
@@ -383,8 +428,33 @@ class TestLossAndGradients:
                             lambda s: tuple([Recorder(l) for l in part] for part in real(s)))
         x = np.random.default_rng(3).normal(size=(2, 1, 8, 8)).astype(np.float32)
         loss_and_gradients(m, Tensor(x), [0, 2])
-        assert len(refs) == 10 and all(refs[:6])
+        assert len(refs) == 7 and all(refs[:3])
         assert leaks == []
+
+    @pytest.mark.skipif(sys.version_info < (3, 11),
+                        reason="older CPython keeps a call's arguments alive in the caller")
+    def test_conv_backward_runs_without_the_output_or_its_gradient(self, monkeypatch):
+        """A conv's backward reads its output and the gradient it receives
+        once, for the ReLU's (and the pool's) backward; neither is alive while
+        the conv's own backward runs."""
+        import weakref
+        seen, alive = [], []
+        real_relu_backward, real_conv_backward = nn.relu_backward, nn.conv2d_backward
+
+        def relu_backward(y, dy):
+            seen.append((weakref.ref(y.array), weakref.ref(dy.array)))
+            return real_relu_backward(y, dy)
+
+        def conv2d_backward(*args, **kwargs):
+            alive.append([r() is not None for r in seen.pop()])
+            return real_conv_backward(*args, **kwargs)
+
+        monkeypatch.setattr(nn, "relu_backward", relu_backward)
+        monkeypatch.setattr(nn, "conv2d_backward", conv2d_backward)
+        spec = ArchSpec(((2, 4), (1, 8)), GapHead(), num_classes=4, in_channels=3, input_size=8)
+        x = Tensor(np.random.default_rng(4).uniform(0, 1, (2, 3, 8, 8)).astype(np.float32))
+        loss_and_gradients(build(spec, seed=1), x, [0, 1])
+        assert alive == [[False, False]] * 3
 
     @pytest.mark.parametrize("head", [GapHead(), FcHead((3,))], ids=["gap", "fc"])
     def test_whole_model_gradient_matches_finite_differences(self, head):
@@ -431,10 +501,10 @@ class TestLossAndGradients:
             finally:
                 current.pop()
 
-        def mm64(a, b, *dtype):
+        def mm64(a, b, *args, **kwargs):
             if current:
                 current[-1].add(a.shape[0])
-            return real_mm64(a, b, *dtype)
+            return real_mm64(a, b, *args, **kwargs)
 
         monkeypatch.setattr(nn, "conv2d_backward", backward)
         monkeypatch.setattr(nn, "_mm64", mm64)

@@ -20,7 +20,7 @@ from naive_ops import (naive_conv2d, naive_dense, naive_gap,
 import defectnet
 from defectnet import nn
 from defectnet.errors import ShapeError
-from defectnet.model import ReluMaxPool
+from defectnet.model import Conv
 from defectnet.tensor import Tensor, _mm64
 
 
@@ -190,14 +190,36 @@ class TestConvMatchesWholeMatrixReference:
         got, want = conv_both_ways(case, seed, chunk_bytes)
         assert conv_bytes(*got) == conv_bytes(*want)
 
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(case=BANDED_SHAPES.filter(lambda s: ((s[3] + 2 * s[7] - s[5]) // s[6] + 1) % 2 == 0
+                                     and ((s[4] + 2 * s[7] - s[5]) // s[6] + 1) % 2 == 0),
+           chunk_bytes=st.sampled_from([None, 2048, 8192]), seed=st.integers(0, 2 ** 16))
+    def test_fused_relu_and_pool_keep_the_bits(self, case, chunk_bytes, seed):
+        """With relu, the forward equals the reference's output rectified;
+        with pool as well, whose bands hold whole pairs of output rows, it
+        equals maxpool2d_forward of that output, rectified, mask and all."""
+        x, w, b, _ = conv_case(seed, *case)
+        p = nn.ConvParams(t32(w), t32(b), stride=case[-2], padding=case[-1])
+        want = im2col_ref.conv2d_forward(t32(x), p)
+        with pytest.MonkeyPatch.context() as mp:
+            if chunk_bytes is not None:
+                mp.setattr(nn, "CHUNK_BYTES", chunk_bytes)
+            rectified = nn.conv2d_forward(t32(x), p, relu=True)
+            pooled, mask = nn.conv2d_forward(t32(x), p, relu=True, pool=True)
+        assert rectified.array.tobytes() == nn.relu(want).array.tobytes()
+        want_pooled, want_mask = nn.maxpool2d_forward(want)
+        assert pooled.array.tobytes() == nn.relu(want_pooled).array.tobytes()
+        assert np.array_equal(mask.window_argmax, want_mask.window_argmax)
+        assert mask.window_argmax.dtype == np.uint8 and mask.input_shape == want_mask.input_shape
+
     def test_small_cap_splits_every_gemm(self, monkeypatch):
         """A case whose three GEMMs all split into several bands under a 2 KB cap."""
         calls = []
 
-        def counting_mm64(a, b, dtype=np.float32):
+        def counting_mm64(a, b, dtype=np.float32, out=None):
             # the banded dimension: d_w (the one float64 product) sums over it
             calls.append((dtype, a.shape[1] if dtype == np.float64 else b.shape[1]))
-            return _mm64(a, b, dtype)
+            return _mm64(a, b, dtype, out)
 
         monkeypatch.setattr(nn, "_mm64", counting_mm64)
         got, want = conv_both_ways((2, 32, 32, 16, 20, 3, 1, 1), seed=7, chunk_bytes=2048)
@@ -215,8 +237,9 @@ class TestConvMatchesWholeMatrixReference:
 @given(o=st.sampled_from([2, 3, 16, 64]), k=st.integers(1, 600),
        length=st.builds(lambda units, tail: 16 * units + tail,
                         st.integers(1, 180), st.sampled_from([0, 0, 0, 1, 4, 12])),
-       chunk_bytes=st.sampled_from([2048, 65536, 1 << 20]), seed=st.integers(0, 2 ** 16))
-def test_bands_keep_the_float64_bits_of_the_whole_product(o, k, length, chunk_bytes, seed):
+       chunk_bytes=st.sampled_from([2048, 65536, 1 << 20]), align=st.sampled_from([1, 1, 8, 28, 448]),
+       seed=st.integers(0, 2 ** 16))
+def test_bands_keep_the_float64_bits_of_the_whole_product(o, k, length, chunk_bytes, align, seed):
     """The float64 products of the correlations over the bands of nn._bands,
     which cover the length zero-padded to whole 16-column panels, equal the
     whole product of the zero-padded matrix: the forward's shape, which
@@ -224,15 +247,17 @@ def test_bands_keep_the_float64_bits_of_the_whole_product(o, k, length, chunk_by
     nearly every last-bit difference of a band that meets another OpenBLAS
     kernel, so the bands are checked before that. d_w is a float64 sum over
     the same pixel bands, rounded once, so only the correlations keep the
-    whole product's float64 bits."""
+    whole product's float64 bits. Inner band edges fall on multiples of
+    lcm(16, align), as a pooled forward's whole pairs of output rows ask."""
     rng = np.random.default_rng(seed)
     w = rng.normal(size=(o, k))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(nn, "CHUNK_BYTES", chunk_bytes)
-        col_bands = nn._bands(length, 8 * k, o * k)
+        col_bands = nn._bands(length, 8 * k, o * k, align)
     cols = np.zeros((k, col_bands[-1][1]))
     cols[:, :length] = rng.normal(size=(k, length))
     assert col_bands[0][0] == 0 and col_bands[-1][1] - length in range(16)
+    assert all(a % np.lcm(16, align) == 0 for a, _ in col_bands)
     whole = w @ cols
     for a, b in col_bands:
         assert np.array_equal(w @ np.ascontiguousarray(cols[:, a:b]), whole[:, a:b])
@@ -329,10 +354,10 @@ def float64_product_digests() -> list[str]:
     taken before each product is rounded as its caller asks."""
     digests = []
 
-    def hashing_mm64(a, b, dtype=np.float32):
-        product = _mm64(a, b, np.float64)
+    def hashing_mm64(a, b, dtype=np.float32, out=None):
+        product = _mm64(a, b, np.float64, out)
         digests.append(hashlib.sha256(product.tobytes()).hexdigest())
-        return product.astype(dtype, copy=False)
+        return product if out is not None else product.astype(dtype, copy=False)
 
     case = (1, 256, 256, 14, 14, 3, 1, 1)
     x, w, b, r = conv_case(0, *case)
@@ -469,20 +494,41 @@ class TestMaxPoolMatchesWindowReference:
     @example((_windows([-1, -2, -3, -4], [-0.0, -0.0, -1, -0.0], [-3, -1, 0.0, -1], [-INF, 2, 2, NAN]),
               np.array([[[[1, 2, 3, 4]]]], np.float32)))
     def test_relu_pool_layer_is_the_pool_of_the_relu(self, case):
-        """model.ReluMaxPool pools, then rectifies the quarter-size result. Its
-        output and input gradient equal those of a ReLU (backward: np.where on
-        the ReLU's output) followed by the reference pool."""
-        x, d = case
-        layer = ReluMaxPool()
-        y, ctx = layer.forward({}, Tensor(x))
-        r = nn.relu(Tensor(x))
-        want_y, want_mask = pool_ref.maxpool2d_forward(r)
-        assert y.array.tobytes() == want_y.array.tobytes()
-        assert ctx[1] is y
-        dx, grads = layer.backward(ctx, Tensor(d))
-        d_r = pool_ref.maxpool2d_backward(want_mask, Tensor(d)).array
-        want_dx = np.where(r.array > 0, d_r, np.float32(0.0))
-        assert grads == {} and dx.array.tobytes() == want_dx.tobytes()
+        """A block's last conv pools its output as it writes it, then rectifies
+        the quarter-size result. Through filters that copy each channel (1x1
+        in nn, the centre tap of model.Conv's 3x3), its output equals a ReLU
+        of the plain conv followed by the reference pool; model.Conv's ctx
+        keeps that output, and the gradient it hands the conv's backward
+        equals the reference pool's backward masked by the ReLU (np.where on
+        the ReLU's output)."""
+        # the 3x3 filters' zero taps turn an infinite neighbour into NaN
+        with np.errstate(invalid="ignore"):
+            x, d = case
+            c = x.shape[1]
+            copy = np.eye(c, dtype=np.float32)[:, :, None, None]
+            for p in (nn.ConvParams(Tensor(copy), Tensor.zeros((c,))),
+                      nn.ConvParams(Tensor(np.pad(copy, ((0, 0), (0, 0), (1, 1), (1, 1)))),
+                                    Tensor.zeros((c,)), padding=1)):
+                y, _ = nn.conv2d_forward(Tensor(x), p, relu=True, pool=True)
+                want_y, _ = pool_ref.maxpool2d_forward(nn.relu(nn.conv2d_forward(Tensor(x), p)))
+                assert y.array.tobytes() == want_y.array.tobytes()
+
+            layer = Conv("c", c, c, pool=True)
+            y, ctx = layer.forward({"c.w": p.weights, "c.b": p.bias}, Tensor(x))
+            r = nn.relu(nn.conv2d_forward(Tensor(x), p))
+            want_y, want_mask = pool_ref.maxpool2d_forward(r)
+            assert y.array.tobytes() == want_y.array.tobytes()
+            assert ctx[2] is y
+            seen = []
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(nn, "conv2d_backward",
+                           lambda x_, p_, d_out, **kw: seen.append(d_out) or nn.LayerGradients(
+                               None, {"weights": None, "bias": None}))
+                dx, grads = layer.backward(ctx, Tensor(d))
+            d_r = pool_ref.maxpool2d_backward(want_mask, Tensor(d)).array
+            want_dx = np.where(r.array > 0, d_r, np.float32(0.0))
+            assert dx is None and grads == {"c.w": None, "c.b": None}
+            assert seen[0].array.tobytes() == want_dx.tobytes()
 
     def test_ties_in_a_large_batch(self):
         # Seven levels over 16k values: most windows hold a tie.
