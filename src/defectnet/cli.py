@@ -10,8 +10,9 @@ byte-identical output files.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from pathlib import Path
 
 import numpy as np
@@ -222,6 +223,27 @@ def _writing(path):
 
 
 @contextmanager
+def _replacing(*paths):
+    """Yield a temp path beside each output file. Once the block has written
+    them all (each inside _writing, so that an error names its output),
+    move each into place with os.replace: a write that fails leaves every
+    old output as it was, and no temp file stays behind."""
+    paths = [Path(p) for p in paths]
+    tmps = [p.with_name(f".{p.name}.tmp") for p in paths]
+    try:
+        yield tmps
+        for tmp, path in zip(tmps, paths):
+            with _writing(path):
+                os.replace(tmp, path)
+    finally:
+        for tmp in tmps:
+            # gone once moved; and a failed clean-up must not hide the error
+            # that stopped the block
+            with suppress(OSError):
+                tmp.unlink()
+
+
+@contextmanager
 def _serving(path):
     """Run the forwards of the model loaded from path with float overflow
     unwarned. Finite weights can still overflow float32; model.forward then
@@ -330,12 +352,14 @@ def cmd_train(args) -> int:
     net, history = train(net, train_ds, val_ds, aug, tc)
     with _writing(out) as path:
         path.mkdir(parents=True, exist_ok=True)
-    with _writing(out / "model.dnw") as path, open(path, "wb") as fh:
-        nbytes = weights_io.write_weights(net, fh)
-    with _writing(out / "history.csv") as path:
-        path.write_text(history.to_csv(), encoding="utf-8")
-    with _writing(out / "run.meta") as path:
-        write_run_meta(path, cfg, net)
+    dnw, csv, meta = out / "model.dnw", out / "history.csv", out / "run.meta"
+    with _replacing(dnw, csv, meta) as (dnw_tmp, csv_tmp, meta_tmp):
+        with _writing(dnw), open(dnw_tmp, "wb") as fh:
+            nbytes = weights_io.write_weights(net, fh)
+        with _writing(csv):
+            csv_tmp.write_text(history.to_csv(), encoding="utf-8")
+        with _writing(meta):
+            write_run_meta(meta_tmp, cfg, net)
     if history.epochs:
         last = history.epochs[-1]
         print(f"trained {len(history)} epochs; final train_acc={last.train_acc:.4f} "
@@ -389,8 +413,8 @@ def cmd_eval(args) -> int:
             cm = evaluate(net, ds)
     rep = metrics.report(cm)
     sys.stdout.write(metrics.render_text(rep))
-    with _writing(args.out_csv) as path:
-        _write_counts_csv(path, cm)
+    with _replacing(args.out_csv) as (tmp,), _writing(args.out_csv):
+        _write_counts_csv(tmp, cm)
     print(f"wrote {args.out_csv}")
     return 0
 
@@ -430,8 +454,8 @@ def cmd_cam(args) -> int:
     region = cam_mod.bounding_region(heat, args.threshold) if not heat.degenerate else None
     up = cam_mod.upsample(heat, (img.height, img.width))
     blended = cam_mod.overlay(up, x, args.alpha)
-    with _writing(args.out) as path:
-        write_ppm(path, image_from_tensor(blended))
+    with _replacing(args.out) as (tmp,), _writing(args.out):
+        write_ppm(tmp, image_from_tensor(blended))
     if region is None:
         print("none")
     else:

@@ -8,7 +8,10 @@ well-defined. Two presets ship: "paper-vgg16" (filter widths
 
 `layers(spec)` lists the layers of an ArchSpec in forward order: one
 layer per conv, which applies its ReLU as it writes its output and, at a
-block's end, the max pool before that ReLU, then the head. build,
+block's end, the max pool before that ReLU, then the head. The backward
+of a conv's ReLU runs in the layer above, which keeps that ReLU's output
+as its input: the next conv masks its d_input with it, and for the last
+conv GlobalAvgPool or Flatten does. build,
 replace_head, forward and loss_and_gradients all walk that list, and
 param_shapes reads the parameter names and shapes off it, so it is the
 one place that knows the order of layers and parameters.
@@ -152,9 +155,13 @@ class Conv(Layer):
     also max-pools its output before the ReLU, as the conv writes it, so the
     full-size map of that conv is never built: max and ReLU commute, and
     np.maximum(+-0, 0) is +0, so the bits are those of a pool of the ReLU.
-    Its ctx keeps the input, the output (the array the next layer keeps as
-    its input) and, after a pool, the pool's mask. The first conv of a model
-    reads the input batch, whose gradient nothing uses, so it skips d_input."""
+
+    Its ctx keeps the input and, after a pool, the pool's mask, never the
+    output: the layer above applies this ReLU's backward, as every conv but
+    the first masks its d_input with the sign of its input, the rectified
+    output of the conv below (GlobalAvgPool and Flatten do so for the last
+    conv). The first conv of a model reads the input batch, whose gradient
+    nothing uses, so it skips d_input."""
 
     name: str
     in_ch: int
@@ -171,19 +178,19 @@ class Conv(Layer):
                            stride=1, padding=KERNEL // 2)
         out = nn.conv2d_forward(x, cp, relu=True, pool=self.pool)
         y, mask = out if self.pool else (out, None)
-        return y, [x, cp, y, mask]
+        return y, [x, cp, mask]
 
     def backward(self, ctx, dy):
-        """The ReLU's and the pool's backward, then the conv's. ctx (a list)
-        is emptied and dy dropped once read, so neither the output nor its
-        gradient stays alive through the conv's own backward."""
-        x, cp, y, mask = ctx
-        ctx.clear()
-        d = nn.relu_backward(y, dy)
-        del y, dy
+        """The pool's backward, then the conv's; dy already has this conv's
+        ReLU backward applied. The input leaves ctx (a list) straight into
+        conv2d_backward, which frees it before the d_input products, and
+        the pooled dy is dropped once the pool's backward has read it."""
+        mask, cp = ctx.pop(), ctx.pop()
         if mask is not None:
-            d = nn.maxpool2d_backward(mask, d)
-        return _param_grads(self.name, nn.conv2d_backward(x, cp, d, with_input=not self.first))
+            dy = nn.maxpool2d_backward(mask, dy)
+            del mask
+        return _param_grads(self.name, nn.conv2d_backward(
+            ctx.pop(), cp, dy, with_input=not self.first, relu=not self.first))
 
 
 @dataclass(frozen=True)
@@ -217,19 +224,26 @@ class Relu(Layer):
 
 
 class GlobalAvgPool(Layer):
+    """Keeps its input, the last conv's rectified output, as ctx, and applies
+    that conv's ReLU backward to its input gradient."""
+
     def forward(self, params, x):
-        return nn.global_avg_pool(x), x.shape
+        return nn.global_avg_pool(x), x
 
     def backward(self, ctx, dy):
-        return nn.global_avg_pool_backward(ctx, dy), {}
+        return nn.relu_backward(ctx, nn.global_avg_pool_backward(ctx.shape, dy)), {}
 
 
 class Flatten(Layer):
+    """Keeps its input, the last conv's rectified output, as ctx (its flat
+    output is a view of it), and applies that conv's ReLU backward to its
+    input gradient."""
+
     def forward(self, params, x):
-        return Tensor._wrap(np.ascontiguousarray(x.array.reshape(x.shape[0], -1))), x.shape
+        return Tensor._wrap(np.ascontiguousarray(x.array.reshape(x.shape[0], -1))), x
 
     def backward(self, ctx, dy):
-        return Tensor._wrap(np.ascontiguousarray(dy.array.reshape(ctx))), {}
+        return nn.relu_backward(ctx, Tensor._wrap(dy.array.reshape(ctx.shape))), {}
 
 
 def layers(spec: ArchSpec) -> tuple[list[Layer], list[Layer]]:

@@ -8,8 +8,13 @@ inputs as their ctx; a ReLU keeps its output, which is positive where
 its input is. The 2x2 max pool compares strided views of its input, a
 window's two columns first and then its two row winners, and keeps each
 winner's position as a uint8 code; its backward writes each of the four
-window positions once. Both select float32 values through their uint32
-bits (_select), so every value keeps its bits.
+window positions once. The ReLU and pool backwards select float32 values
+through their uint32 bits (_select), so every value keeps its bits.
+
+A conv whose input is a ReLU's output applies that ReLU's backward
+itself (conv2d_backward's relu): after d_w it takes the sign of its
+input and lets the input go, then zeroes d_input where the sign is not
+positive, with _select, as each band is written.
 
 Convolution runs as im2col + matmul (the naive sliding-window loop is
 kept as an oracle in the test suite) over the float64 patch matrix
@@ -223,7 +228,7 @@ def _patch_bands(x: np.ndarray, pad, bands, kh, kw, stride, oh, ow):
 
 
 def _correlate(x: np.ndarray, pad, w64: np.ndarray, bias, kh, kw, stride, oh, ow,
-               relu=False, pool=False):
+               relu=False, pool=False, keep=None):
     """NCHW float32 out[n,o,y,x] = bias[o] + sum over c,i,j of
     x[c,n,y*stride+i-ph,x*stride+j-pw] * w64[o,(c,i,j)], zero outside a
     (C, N, H, W) input, for pad = (ph, pw): one _mm64 per band of the patch
@@ -232,7 +237,9 @@ def _correlate(x: np.ndarray, pad, w64: np.ndarray, bias, kh, kw, stride, oh, ow
 
     With pool, each band holds whole pairs of output rows and is max-pooled
     as it is written, so only the quarter-size map is built; (pooled, winner
-    codes) is returned. relu then rectifies the output in place.
+    codes) is returned. relu then rectifies the output in place. A bool
+    keep of the output's shape zeroes the output where it is False, as
+    _select does, band by band (d_input through a ReLU).
     """
     (c, n), o = x.shape[:2], len(w64)
     k, f = c * kh * kw, 2 if pool else 1
@@ -259,6 +266,8 @@ def _correlate(x: np.ndarray, pad, w64: np.ndarray, bias, kh, kw, stride, oh, ow
                 dst = out[n0:n1, :, y0:y1, x0:x1]
                 dst.transpose(1, 0, 2, 3)[...] = _band_view(band, off, box)
                 dst += bias[:, None, None]
+                if keep is not None:
+                    _select(keep[n0:n1, :, y0:y1, x0:x1], dst, out=dst)
             if relu:
                 np.maximum(dst, np.float32(0.0), out=dst)
     return (out, code) if pool else out
@@ -286,8 +295,16 @@ def conv2d_forward(x: Tensor, p: ConvParams, relu=False,
     return Tensor._wrap(out)
 
 
-def conv2d_backward(x: Tensor, p: ConvParams, d_out: Tensor, with_input=True) -> LayerGradients:
-    """Exact adjoint of conv2d_forward: weights, bias and, if with_input, input."""
+def conv2d_backward(x: Tensor, p: ConvParams, d_out: Tensor, with_input=True,
+                    relu=False) -> LayerGradients:
+    """Exact adjoint of conv2d_forward: weights, bias and, if with_input, input.
+
+    relu says that x is the output of a ReLU: d_input is then the gradient
+    at that ReLU's input, zero where x is not positive, as relu_backward
+    gives it. x is let go once d_w and that mask are taken, so a caller
+    that hands x over without keeping a name for it frees it before the
+    d_input products run.
+    """
     n, c, h, w, out_ch, kh, kw, oh, ow = _conv_geometry(x.shape, p)
     if d_out.shape != (n, out_ch, oh, ow):
         raise ShapeError(f"d_out shape {d_out.shape} != forward output ({n}, {out_ch}, {oh}, {ow})")
@@ -306,6 +323,8 @@ def conv2d_backward(x: Tensor, p: ConvParams, d_out: Tensor, with_input=True) ->
             _patch_bands(d_t, (0, 0), bands, 1, 1, 1, oh, ow)):
         d_w += _mm64(d_band, cols.T, np.float64)
     del cols, d_band
+    keep = x.array > 0 if relu and with_input else None
+    del x
 
     # d_input: d_out, zero-inserted between strides and virtually padded by
     # k-1-pad (cut where that is negative), correlated with flipped W.T
@@ -317,7 +336,8 @@ def conv2d_backward(x: Tensor, p: ConvParams, d_out: Tensor, with_input=True) ->
             dz = np.zeros((out_ch, n, s * (oh - 1) + 1, s * (ow - 1) + 1), dtype=np.float32)
             dz[:, :, ::s, ::s] = d_t
         d_input = Tensor._wrap(_correlate(dz, (kh - 1 - pad, kw - 1 - pad), wt64,
-                                          np.zeros(c, np.float32), kh, kw, 1, h, w))
+                                          np.zeros(c, np.float32), kh, kw, 1, h, w,
+                                          keep=keep))
     return LayerGradients(
         d_input=d_input,
         d_params={"weights": Tensor._wrap(d_w.astype(np.float32).reshape(out_ch, c, kh, kw)),

@@ -630,3 +630,101 @@ class TestCam:
         assert main(["cam", str(model), str(img_path), str(a)]) == 0
         assert main(["cam", str(model), str(img_path), str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+
+class TestAtomicOutputs:
+    """Each output file is written to a temp file beside it and moved into
+    place: a write that fails halfway exits 2 with one line, and leaves the
+    old outputs byte for byte and no temp file behind."""
+
+    @staticmethod
+    def fail_halfway(monkeypatch, name):
+        """Make the write of the output file called name stop with ENOSPC
+        after half of its bytes."""
+        import errno
+        import io
+        import pathlib
+
+        import defectnet.cli as cli_mod
+
+        def no_space():
+            return OSError(errno.ENOSPC, "No space left on device")
+
+        def failing(real):
+            def write(self, data, *args, **kwargs):
+                if name not in self.name:
+                    return real(self, data, *args, **kwargs)
+                real(self, data[: len(data) // 2], *args, **kwargs)
+                raise no_space()
+            return write
+
+        def write_weights(model, sink):
+            buf = io.BytesIO()
+            write_weights_real(model, buf)
+            sink.write(buf.getvalue()[: len(buf.getvalue()) // 2])
+            raise no_space()
+
+        write_weights_real = cli_mod.weights_io.write_weights
+        monkeypatch.setattr(pathlib.Path, "write_text", failing(pathlib.Path.write_text))
+        monkeypatch.setattr(pathlib.Path, "write_bytes", failing(pathlib.Path.write_bytes))
+        if name == "model.dnw":
+            monkeypatch.setattr(cli_mod.weights_io, "write_weights", write_weights)
+
+    @staticmethod
+    def snapshot(directory):
+        return {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
+
+    def assert_old_outputs_kept(self, capsys, rc, directory, before, failed):
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith(f"config error: cannot write {directory / failed}: ")
+        assert err.count("\n") == 1
+        if before is not None:
+            assert self.snapshot(directory) == before
+
+    @pytest.mark.parametrize("name", ["model.dnw", "history.csv", "run.meta"])
+    def test_train(self, tmp_path, capsys, monkeypatch, name):
+        data, out = tmp_path / "data", tmp_path / "run"
+        small_tree(data)
+        assert main(["train", "--config", str(toy_config(tmp_path, data, out))]) == 0
+        before = self.snapshot(out)
+        assert set(before) == {"model.dnw", "history.csv", "run.meta"}
+        self.fail_halfway(monkeypatch, name)
+        rc = main(["train", "--config", str(toy_config(tmp_path, data, out, seed=4))])
+        self.assert_old_outputs_kept(capsys, rc, out, before, name)
+
+    def test_eval_out_csv(self, tmp_path, capsys, monkeypatch):
+        out = tmp_path / "out"
+        out.mkdir()
+        counts = tmp_path / "counts.csv"
+        counts.write_text(TestEval.COUNTS)
+        args = ["eval", "--counts", str(counts), "--out-csv", str(out / "confusion.csv")]
+        assert main(args) == 0
+        before = self.snapshot(out)
+        counts.write_text(TestEval.COUNTS.replace("157", "158"))
+        self.fail_halfway(monkeypatch, "confusion.csv")
+        self.assert_old_outputs_kept(capsys, main(args), out, before, "confusion.csv")
+
+    def test_cam_overlay(self, tmp_path, capsys, monkeypatch):
+        model = tmp_path / "model.dnw"
+        write_model(model, zero_model(ArchSpec(((1, 4),), GapHead(), num_classes=4,
+                                               input_size=16)), input_size=16)
+        img = tmp_path / "in.ppm"
+        img.write_bytes(encode_ppm(solid_image(16, (77, 88, 99))))
+        out = tmp_path / "out"
+        out.mkdir()
+        args = ["cam", str(model), str(img), str(out / "o.ppm")]
+        assert main(args + ["--alpha", "0"]) == 0
+        before = self.snapshot(out)
+        self.fail_halfway(monkeypatch, "o.ppm")
+        self.assert_old_outputs_kept(capsys, main(args + ["--alpha", "1"]), out, before, "o.ppm")
+
+    def test_unwritable_path_exit_2(self, tmp_path, capsys):
+        counts = tmp_path / "counts.csv"
+        counts.write_text(TestEval.COUNTS)
+        out = tmp_path / "out"
+        out.write_text("a file, not a directory\n")
+        before = self.snapshot(tmp_path)
+        rc = main(["eval", "--counts", str(counts), "--out-csv", str(out / "c.csv")])
+        self.assert_old_outputs_kept(capsys, rc, out, None, "c.csv")
+        assert self.snapshot(tmp_path) == before

@@ -357,7 +357,9 @@ class TestLossAndGradients:
 
     def test_relu_ctx_is_the_array_the_next_layer_receives(self, monkeypatch):
         # a conv with its ReLU, a block's last conv with its pool and ReLU,
-        # and a ReLU between two denses
+        # and a ReLU between two denses: each ReLU's output is kept once, as
+        # the ctx of the layer that receives it (a conv, Flatten or Dense),
+        # and no conv ctx keeps its own output
         import defectnet.model as model_mod
 
         received = []
@@ -385,7 +387,10 @@ class TestLossAndGradients:
         for k in relus:
             assert tape[k][1].array is received[k + 1]
         for k in convs:
-            assert tape[k][1][2].array is received[k + 1]
+            assert tape[k][1][0].array is received[k]
+            assert all(getattr(c, "array", None) is not received[k + 1] for c in tape[k][1])
+        assert isinstance(tape[2][0].layer, model_mod.Flatten)
+        assert tape[2][1].array is received[2]
 
     def test_backward_frees_each_ctx_once_no_layer_below_reads_it(self, monkeypatch):
         """When a layer's backward runs, the ctx arrays of the layers above it
@@ -434,27 +439,121 @@ class TestLossAndGradients:
     @pytest.mark.skipif(sys.version_info < (3, 11),
                         reason="older CPython keeps a call's arguments alive in the caller")
     def test_conv_backward_runs_without_the_output_or_its_gradient(self, monkeypatch):
-        """A conv's backward reads its output and the gradient it receives
-        once, for the ReLU's (and the pool's) backward; neither is alive while
-        the conv's own backward runs."""
+        """A conv's output is the next layer's input, which that layer frees
+        in its own backward, and a pooled conv's incoming gradient is read
+        once, by the pool's backward: neither is alive while the conv's own
+        backward runs."""
         import weakref
-        seen, alive = [], []
-        real_relu_backward, real_conv_backward = nn.relu_backward, nn.conv2d_backward
+        outputs, pooled, alive = {}, [], []
+        real_forward, real_pool_backward = nn.conv2d_forward, nn.maxpool2d_backward
+        real_conv_backward = nn.conv2d_backward
 
-        def relu_backward(y, dy):
-            seen.append((weakref.ref(y.array), weakref.ref(dy.array)))
-            return real_relu_backward(y, dy)
+        def conv2d_forward(x, p, **kwargs):
+            out = real_forward(x, p, **kwargs)
+            y = out[0] if isinstance(out, tuple) else out
+            outputs[id(p.weights)] = weakref.ref(y.array)
+            return out
+
+        def maxpool2d_backward(mask, d_out):
+            pooled.append(weakref.ref(d_out.array))
+            return real_pool_backward(mask, d_out)
 
         def conv2d_backward(*args, **kwargs):
-            alive.append([r() is not None for r in seen.pop()])
+            refs = [outputs.pop(id(args[1].weights))] + pooled
+            pooled.clear()
+            alive.append([r() is not None for r in refs])
             return real_conv_backward(*args, **kwargs)
 
-        monkeypatch.setattr(nn, "relu_backward", relu_backward)
+        monkeypatch.setattr(nn, "conv2d_forward", conv2d_forward)
+        monkeypatch.setattr(nn, "maxpool2d_backward", maxpool2d_backward)
         monkeypatch.setattr(nn, "conv2d_backward", conv2d_backward)
         spec = ArchSpec(((2, 4), (1, 8)), GapHead(), num_classes=4, in_channels=3, input_size=8)
         x = Tensor(np.random.default_rng(4).uniform(0, 1, (2, 3, 8, 8)).astype(np.float32))
         loss_and_gradients(build(spec, seed=1), x, [0, 1])
-        assert alive == [[False, False]] * 3
+        # block2.conv1 and block1.conv2 pool, block1.conv1 does not
+        assert alive == [[False, False], [False, False], [False]]
+
+    @pytest.mark.skipif(sys.version_info < (3, 11),
+                        reason="older CPython keeps a call's arguments alive in the caller")
+    @pytest.mark.parametrize("head", [GapHead(), FcHead((3,))], ids=["gap", "fc"])
+    def test_conv_input_is_freed_before_its_d_input_products(self, monkeypatch, head):
+        """Every conv but the first takes the sign of its input, the ReLU
+        output of the conv below, after its d_w and lets the input go: no
+        conv's input is alive while its d_input products run, and no conv's
+        ctx holds its output."""
+        import weakref
+
+        import defectnet.model as model_mod
+
+        inputs, current, alive, held = {}, [], [], []
+
+        class Recorder:
+            def __init__(self, layer):
+                self.layer = layer
+
+            def forward(self, params_, x):
+                y, ctx = self.layer.forward(params_, x)
+                if isinstance(self.layer, model_mod.Conv):
+                    inputs[self.layer.name] = weakref.ref(x.array)
+                    held.extend(self.layer.name for c in ctx if getattr(c, "array", None) is y.array)
+                return y, ctx
+
+            def backward(self, ctx, dy):
+                current.append(getattr(self.layer, "name", None))
+                try:
+                    return self.layer.backward(ctx, dy)
+                finally:
+                    current.pop()
+
+        def mm64(a, b, *args, **kwargs):
+            # in a backward, only d_input's correlation writes into out
+            if current and "out" in kwargs:
+                alive.append((current[-1], inputs[current[-1]]() is not None))
+            return real_mm64(a, b, *args, **kwargs)
+
+        m = build(ArchSpec(((2, 4), (1, 8)), head, num_classes=4, in_channels=3, input_size=8),
+                  seed=1)
+        real, real_mm64 = model_mod.layers, nn._mm64
+        monkeypatch.setattr(model_mod, "layers",
+                            lambda s: tuple([Recorder(l) for l in part] for part in real(s)))
+        monkeypatch.setattr(nn, "_mm64", mm64)
+        x = Tensor(np.random.default_rng(4).uniform(0, 1, (2, 3, 8, 8)).astype(np.float32))
+        loss_and_gradients(m, x, [0, 1])
+        assert {name for name, _ in alive} == {"block1.conv2", "block2.conv1"}
+        assert not any(is_alive for _, is_alive in alive)
+        assert held == []
+
+    @pytest.mark.skipif(sys.version_info < (3, 11),
+                        reason="older CPython keeps a call's arguments alive in the caller")
+    @pytest.mark.parametrize("head", [GapHead(), FcHead((3,))], ids=["gap", "fc"])
+    def test_step_holds_no_conv_input_beside_its_gradients(self, monkeypatch, head):
+        """While a conv's d_input runs, the step holds its d_out and d_input,
+        the sign of its input (a bool quarter of an activation) and one band,
+        but neither the input, here a 16-channel 128 px map like d_out, nor a
+        masked copy of a gradient."""
+        import tracemalloc
+        monkeypatch.setattr(nn, "CHUNK_BYTES", 64 << 10)
+        spec = ArchSpec(((2, 16), (1, 16)), head, num_classes=4, in_channels=3, input_size=128)
+        m = build(spec, seed=0)
+        x = Tensor(np.random.default_rng(7).uniform(0, 1, (2, 3, 128, 128)).astype(np.float32))
+        act = 2 * 16 * 128 * 128 * 4
+        bands, real_patch_bands = [], nn._patch_bands
+
+        def patch_bands(*args):
+            for boxes, cols in real_patch_bands(*args):
+                bands.append(cols.nbytes)
+                yield boxes, cols
+
+        monkeypatch.setattr(nn, "_patch_bands", patch_bands)
+        tracemalloc.start()
+        try:
+            loss_and_gradients(m, x, [0, 1])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # d_out, d_input, the mask and one band, plus a quarter of an
+        # activation for the input batch, the band's product and the gradients
+        assert peak < 2 * act + act / 4 + max(bands) + act / 4
 
     @pytest.mark.parametrize("head", [GapHead(), FcHead((3,))], ids=["gap", "fc"])
     def test_whole_model_gradient_matches_finite_differences(self, head):

@@ -212,6 +212,26 @@ class TestConvMatchesWholeMatrixReference:
         assert np.array_equal(mask.window_argmax, want_mask.window_argmax)
         assert mask.window_argmax.dtype == np.uint8 and mask.input_shape == want_mask.input_shape
 
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(case=BANDED_SHAPES, chunk_bytes=st.sampled_from([None, 2048, 8192]),
+           seed=st.integers(0, 2 ** 16))
+    def test_relu_masked_d_input_keeps_the_bits(self, case, chunk_bytes, seed):
+        """With relu, where x is a ReLU's output, d_input equals relu_backward
+        by x of the plain d_input, bit for bit, masked band by band as it is
+        written; d_w and d_bias do not change."""
+        x, w, b, r = conv_case(seed, *case)
+        x = nn.relu(t32(x))
+        p = nn.ConvParams(t32(w), t32(b), stride=case[-2], padding=case[-1])
+        with pytest.MonkeyPatch.context() as mp:
+            if chunk_bytes is not None:
+                mp.setattr(nn, "CHUNK_BYTES", chunk_bytes)
+            plain = nn.conv2d_backward(x, p, t32(r))
+            masked = nn.conv2d_backward(x, p, t32(r), relu=True)
+        want = nn.relu_backward(x, plain.d_input)
+        assert masked.d_input.array.tobytes() == want.array.tobytes()
+        for name in ("weights", "bias"):
+            assert masked.d_params[name].array.tobytes() == plain.d_params[name].array.tobytes()
+
     def test_small_cap_splits_every_gemm(self, monkeypatch):
         """A case whose three GEMMs all split into several bands under a 2 KB cap."""
         calls = []
@@ -497,10 +517,11 @@ class TestMaxPoolMatchesWindowReference:
         """A block's last conv pools its output as it writes it, then rectifies
         the quarter-size result. Through filters that copy each channel (1x1
         in nn, the centre tap of model.Conv's 3x3), its output equals a ReLU
-        of the plain conv followed by the reference pool; model.Conv's ctx
-        keeps that output, and the gradient it hands the conv's backward
-        equals the reference pool's backward masked by the ReLU (np.where on
-        the ReLU's output)."""
+        of the plain conv followed by the reference pool. model.Conv's ctx
+        does not keep that output: the layer above applies the ReLU's
+        backward by its sign, and the gradient model.Conv then hands the
+        conv's backward equals the reference pool's backward masked by the
+        ReLU (np.where on the ReLU's output)."""
         # the 3x3 filters' zero taps turn an infinite neighbour into NaN
         with np.errstate(invalid="ignore"):
             x, d = case
@@ -518,13 +539,13 @@ class TestMaxPoolMatchesWindowReference:
             r = nn.relu(nn.conv2d_forward(Tensor(x), p))
             want_y, want_mask = pool_ref.maxpool2d_forward(r)
             assert y.array.tobytes() == want_y.array.tobytes()
-            assert ctx[2] is y
+            assert all(c_ is not y for c_ in ctx)
             seen = []
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(nn, "conv2d_backward",
                            lambda x_, p_, d_out, **kw: seen.append(d_out) or nn.LayerGradients(
                                None, {"weights": None, "bias": None}))
-                dx, grads = layer.backward(ctx, Tensor(d))
+                dx, grads = layer.backward(ctx, nn.relu_backward(y, Tensor(d)))
             d_r = pool_ref.maxpool2d_backward(want_mask, Tensor(d)).array
             want_dx = np.where(r.array > 0, d_r, np.float32(0.0))
             assert dx is None and grads == {"c.w": None, "c.b": None}
