@@ -2,11 +2,12 @@
 
 Each digest was recorded once from the code as it stood and must not
 change unless CHANGES.md declares and explains the drift. They cover a
-tiny `train` run through the CLI (GAP head and FC head: model.dnw and
-history.csv), the paper-vgg16 seed-0 logits on a fixed input, and the
-paper-vgg16 gradients of a batch of two (the only digest whose backward
-has K > 72 and N > 1, so a changed summation order or swapped batch and
-channel axes in the conv kernels shows here).
+tiny `train` run through the CLI (GAP head and FC head, with nothing, the
+first block or every block frozen: model.dnw and history.csv), the
+paper-vgg16 seed-0 logits on a fixed input, and the paper-vgg16
+gradients of a batch of two (the only digest whose backward has K > 72
+and N > 1, so a changed summation order or swapped batch and channel axes
+in the conv kernels shows here).
 """
 
 import contextlib
@@ -28,8 +29,12 @@ from defectnet.model import arch_preset, build, forward, loss_and_gradients
 from defectnet.tensor import Tensor
 
 TRAIN_DIGESTS = {
-    "gap": "d6a2bd462740e90d19fd852dfa9d047453a4aa5e15d965512e1d39d7ff12c6fe",
-    "fc": "601e050464abba1513a5444d722ce8d06928873fa71ff95a1e2c0805fa32d3d6",
+    # (head, freeze_blocks); the tiny config has two blocks, so 2 freezes every conv
+    ("gap", 0): "d6a2bd462740e90d19fd852dfa9d047453a4aa5e15d965512e1d39d7ff12c6fe",
+    ("fc", 0): "601e050464abba1513a5444d722ce8d06928873fa71ff95a1e2c0805fa32d3d6",
+    ("gap", 1): "511d30b1defdac71d3a41ca7cc0f192c10c39d25c2bbb2f1cffe7591b17e6683",
+    ("gap", 2): "87bf2275bf88e863a6a0919f1f8b36ed5aaed875a8b887bf96f31847095cdcad",
+    ("fc", 2): "3c816f17879dbf68a6cdae178ddbeba155653f12dfbf0cd3b3675abe3f422264",
 }
 
 VGG16_LOGITS_DIGEST = "ddd6c4c3cf84473b79bf98d499745573bf9f8b7517dbd906b96f85432df76d54"
@@ -37,7 +42,7 @@ VGG16_LOGITS_DIGEST = "ddd6c4c3cf84473b79bf98d499745573bf9f8b7517dbd906b96f85432
 VGG16_GRADIENTS_DIGEST = "c404652897d184a084eb8bc86924ef5ab00d8e4f46e78318789ad43e6d284557"
 
 
-def _train_digest(tmp_path, head: str) -> str:
+def _train_digest(tmp_path, head: str, freeze_blocks: int) -> str:
     rng = np.random.default_rng(0)
     write_tree(tmp_path / "data",
                {name: [texture_image(k, 16, rng) for _ in range(4)]
@@ -46,7 +51,7 @@ def _train_digest(tmp_path, head: str) -> str:
     cfg = tmp_path / "run.cfg"
     cfg.write_text(
         "arch = custom\ncustom_blocks = 1x4,1x8\ninput_size = 16\n"
-        f"head = {head}\nfc_widths = 8,6\n"
+        f"head = {head}\nfc_widths = 8,6\nfreeze_blocks = {freeze_blocks}\n"
         "epochs = 2\nbatch_size = 4\nsteps_per_epoch = 2\nlearning_rate = 0.01\n"
         "seed = 3\naug_seed = 5\nval_fraction = 0.25\n"
         f"data_dir = {tmp_path / 'data'}\nout_dir = {out}\n")
@@ -58,9 +63,11 @@ def _train_digest(tmp_path, head: str) -> str:
     return h.hexdigest()
 
 
-@pytest.mark.parametrize("head", sorted(TRAIN_DIGESTS))
-def test_train_outputs_match_golden_digest(tmp_path, head):
-    assert _train_digest(tmp_path, head) == TRAIN_DIGESTS[head]
+@pytest.mark.parametrize("head,freeze_blocks", [
+    pytest.param(head, k, id=head if k == 0 else f"{head}-freeze{k}")
+    for head, k in sorted(TRAIN_DIGESTS)])
+def test_train_outputs_match_golden_digest(tmp_path, head, freeze_blocks):
+    assert _train_digest(tmp_path, head, freeze_blocks) == TRAIN_DIGESTS[head, freeze_blocks]
 
 
 def _vgg16_logits_digest() -> str:
