@@ -11,10 +11,11 @@ layer per conv, which applies its ReLU as it writes its output and, at a
 block's end, the max pool before that ReLU, then the head. The backward
 of a conv's ReLU runs in the layer above, which keeps that ReLU's output
 as its input: the next conv masks its d_input with it, and for the last
-conv GlobalAvgPool or Flatten does. build,
-replace_head, forward and loss_and_gradients all walk that list, and
-param_shapes reads the parameter names and shapes off it, so it is the
-one place that knows the order of layers and parameters.
+conv GlobalAvgPool or Flatten does. build, replace_head, forward and
+loss_and_gradients all walk that list, and param_shapes reads the
+parameter names and shapes off it, so it is the one place that knows the
+order of layers and parameters. The backward's tape starts at the lowest
+layer with a trainable parameter: a frozen prefix runs as inference.
 
 The default head is GAP -> single dense -> softmax, which serves both
 classification and class-activation mapping; a conventional FC head is
@@ -123,9 +124,10 @@ class Model:
 class Layer:
     """One step of the forward walk.
 
-    forward(params, x) -> (y, ctx) keeps in ctx what backward(ctx, dy) ->
-    (dx, grads by parameter name) needs; shapes() names its parameters and
-    their shapes, weights before biases.
+    forward(params, x) -> (y, ctx) keeps in ctx what backward(ctx, dy,
+    need_dx) -> (dx, grads by parameter name) needs; need_dx is false at the
+    bottom of the tape, whose dx nothing reads. shapes() names the layer's
+    parameters and their shapes, weights before biases.
     """
 
     def shapes(self) -> dict[str, tuple[int, ...]]:
@@ -157,16 +159,13 @@ class Conv(Layer):
     np.maximum(+-0, 0) is +0, so the bits are those of a pool of the ReLU.
 
     Its ctx keeps the input and, after a pool, the pool's mask, never the
-    output: the layer above applies this ReLU's backward, as every conv but
-    the first masks its d_input with the sign of its input, the rectified
-    output of the conv below (GlobalAvgPool and Flatten do so for the last
-    conv). The first conv of a model reads the input batch, whose gradient
-    nothing uses, so it skips d_input."""
+    output: the layer above applies this ReLU's backward, as a conv masks
+    its d_input with the sign of its input, the rectified output of the conv
+    below (GlobalAvgPool and Flatten do so for the last conv)."""
 
     name: str
     in_ch: int
     out_ch: int
-    first: bool = False
     pool: bool = False
 
     def shapes(self):
@@ -180,17 +179,17 @@ class Conv(Layer):
         y, mask = out if self.pool else (out, None)
         return y, [x, cp, mask]
 
-    def backward(self, ctx, dy):
-        """The pool's backward, then the conv's; dy already has this conv's
-        ReLU backward applied. The input leaves ctx (a list) straight into
-        conv2d_backward, which frees it before the d_input products, and
-        the pooled dy is dropped once the pool's backward has read it."""
+    def backward(self, ctx, dy, need_dx):
+        """The pool's backward, then the conv's, with d_input if need_dx. dy
+        has this conv's ReLU backward applied; the input leaves ctx (a list)
+        straight into conv2d_backward, which frees it before the d_input
+        products, and the pooled dy goes once the pool's backward reads it."""
         mask, cp = ctx.pop(), ctx.pop()
         if mask is not None:
             dy = nn.maxpool2d_backward(mask, dy)
             del mask
         return _param_grads(self.name, nn.conv2d_backward(
-            ctx.pop(), cp, dy, with_input=not self.first, relu=not self.first))
+            ctx.pop(), cp, dy, with_input=need_dx, relu=need_dx))
 
 
 @dataclass(frozen=True)
@@ -208,7 +207,7 @@ class Dense(Layer):
         w = params[f"{self.name}.w"]
         return nn.dense_forward(x, w, params[f"{self.name}.b"]), (x, w)
 
-    def backward(self, ctx, dy):
+    def backward(self, ctx, dy, need_dx):
         return _param_grads(self.name, nn.dense_backward(*ctx, dy))
 
 
@@ -219,7 +218,7 @@ class Relu(Layer):
         y = nn.relu(x)
         return y, y
 
-    def backward(self, ctx, dy):
+    def backward(self, ctx, dy, need_dx):
         return nn.relu_backward(ctx, dy), {}
 
 
@@ -230,7 +229,7 @@ class GlobalAvgPool(Layer):
     def forward(self, params, x):
         return nn.global_avg_pool(x), x
 
-    def backward(self, ctx, dy):
+    def backward(self, ctx, dy, need_dx):
         return nn.relu_backward(ctx, nn.global_avg_pool_backward(ctx.shape, dy)), {}
 
 
@@ -242,7 +241,7 @@ class Flatten(Layer):
     def forward(self, params, x):
         return Tensor._wrap(np.ascontiguousarray(x.array.reshape(x.shape[0], -1))), x
 
-    def backward(self, ctx, dy):
+    def backward(self, ctx, dy, need_dx):
         return nn.relu_backward(ctx, Tensor._wrap(dy.array.reshape(ctx.shape))), {}
 
 
@@ -256,8 +255,7 @@ def layers(spec: ArchSpec) -> tuple[list[Layer], list[Layer]]:
     in_ch = spec.in_channels
     for b, (count, filters) in enumerate(spec.blocks, 1):
         for i in range(1, count + 1):
-            features.append(Conv(f"block{b}.conv{i}", in_ch, filters, first=not features,
-                                 pool=i == count))
+            features.append(Conv(f"block{b}.conv{i}", in_ch, filters, pool=i == count))
             in_ch = filters
     if isinstance(spec.head, GapHead):
         head: list[Layer] = [GlobalAvgPool()]
@@ -330,20 +328,20 @@ class ForwardTrace:
     final_conv_maps: Tensor
 
 
-def _walk(stack: list[Layer], params: dict[str, Tensor], x: Tensor, tape) -> Tensor:
-    """Run the layers in order. A ctx is dropped once it is on the tape, or
-    at once without one, so an untaped walk frees each layer's input as
-    soon as its output exists."""
+def _walk(model: Model, stack: list[Layer], x: Tensor, tape) -> Tensor:
+    """Run the layers in order. A ctx is dropped once it is on the tape, or at
+    once without one or below the lowest layer with a trainable parameter,
+    so an untaped layer frees its input as soon as its output exists."""
     for layer in stack:
-        x, ctx = layer.forward(params, x)
-        if tape is not None:
+        x, ctx = layer.forward(model.params, x)
+        if tape is not None and (tape or any(model.trainable[n] for n in layer.shapes())):
             tape.append((layer, ctx))
         del ctx
     return x
 
 
 def _run(model: Model, batch: Tensor, tape=None) -> ForwardTrace:
-    """Forward pass; appends (layer, ctx) per layer to tape when one is given."""
+    """Forward pass; tapes (layer, ctx) from the lowest trainable layer up, given a tape."""
     spec = model.spec
     if batch.rank != 4:
         raise ShapeError(f"batch must be NCHW, got {batch.shape}")
@@ -351,8 +349,8 @@ def _run(model: Model, batch: Tensor, tape=None) -> ForwardTrace:
     if batch.shape[1:] != expect:
         raise ShapeError(f"batch shape {batch.shape[1:]} != expected {expect}")
     features, head = layers(spec)
-    maps = _walk(features, model.params, batch, tape)
-    logits = _walk(head, model.params, maps, tape)
+    maps = _walk(model, features, batch, tape)
+    logits = _walk(model, head, maps, tape)
     return ForwardTrace(logits=logits, probs=nn.softmax(logits), final_conv_maps=maps)
 
 
@@ -366,11 +364,11 @@ def forward(model: Model, batch: Tensor) -> ForwardTrace:
 
 
 def loss_and_gradients(model: Model, batch: Tensor, targets) -> tuple[float, Tensor, dict[str, Tensor]]:
-    """One forward/backward pass: (mean loss, probs, gradient per parameter).
-
-    Each (layer, ctx) leaves the tape as its backward runs, so an
-    activation is freed once no layer below still reads it.
-    """
+    """One forward/backward pass: (mean loss, probs, gradient per trainable
+    parameter). The layers below the lowest trainable one run untaped, and
+    that one skips d_input; each (layer, ctx) leaves the tape as its
+    backward runs, so an activation is freed once no layer below still
+    reads it."""
     tape: list = []
     probs = _run(model, batch, tape).probs
     loss = nn.cross_entropy(probs, targets)
@@ -380,7 +378,7 @@ def loss_and_gradients(model: Model, batch: Tensor, targets) -> tuple[float, Ten
     d = [nn.cross_entropy_backward(probs, targets)]
     while tape:
         layer, ctx = tape.pop()
-        dx, layer_grads = layer.backward(ctx, d.pop())
+        dx, layer_grads = layer.backward(ctx, d.pop(), bool(tape))
         d.append(dx)
         del dx
         grads.update(layer_grads)

@@ -368,6 +368,9 @@ class TestLossAndGradients:
             def __init__(self, layer):
                 self.layer = layer
 
+            def shapes(self):
+                return self.layer.shapes()
+
             def forward(self, params, x):
                 received.append(x.array)
                 return self.layer.forward(params, x)
@@ -412,6 +415,9 @@ class TestLossAndGradients:
             def __init__(self, layer):
                 self.layer = layer
 
+            def shapes(self):
+                return self.layer.shapes()
+
             def forward(self, params_, x):
                 y, ctx = self.layer.forward(params_, x)
                 self.index = len(refs)
@@ -421,12 +427,12 @@ class TestLossAndGradients:
                              if isinstance(a, np.ndarray) and id(a) not in params])
                 return y, ctx
 
-            def backward(self, ctx, dy):
+            def backward(self, ctx, dy, need_dx):
                 alive = [{id(r()) for r in layer_refs if r() is not None} for layer_refs in refs]
                 below = set().union(*alive[: self.index + 1])
                 leaks.extend((self.index, j) for j in range(self.index + 1, len(refs))
                              if alive[j] - below)
-                return self.layer.backward(ctx, dy)
+                return self.layer.backward(ctx, dy, need_dx)
 
         real = model_mod.layers
         monkeypatch.setattr(model_mod, "layers",
@@ -491,6 +497,9 @@ class TestLossAndGradients:
             def __init__(self, layer):
                 self.layer = layer
 
+            def shapes(self):
+                return self.layer.shapes()
+
             def forward(self, params_, x):
                 y, ctx = self.layer.forward(params_, x)
                 if isinstance(self.layer, model_mod.Conv):
@@ -498,10 +507,10 @@ class TestLossAndGradients:
                     held.extend(self.layer.name for c in ctx if getattr(c, "array", None) is y.array)
                 return y, ctx
 
-            def backward(self, ctx, dy):
+            def backward(self, ctx, dy, need_dx):
                 current.append(getattr(self.layer, "name", None))
                 try:
-                    return self.layer.backward(ctx, dy)
+                    return self.layer.backward(ctx, dy, need_dx)
                 finally:
                     current.pop()
 
@@ -584,17 +593,21 @@ class TestLossAndGradients:
         for name, value in p.items():
             assert_grad_close(grads[name].array, central_diff(f, value), name)
 
-    def test_first_conv_runs_no_d_input_gemm(self, monkeypatch):
-        """Nothing reads the gradient of the input batch, so block1.conv1 runs
-        only its d_w GEMMs, whose products have one row per filter; the other
-        convs run d_input too."""
-        spec = ArchSpec(((1, 4), (1, 8)), GapHead(), num_classes=4, in_channels=3, input_size=8)
-        rows: dict[tuple, set] = {}
+    @pytest.mark.parametrize("k", [0, 1], ids=["freeze0", "freeze1"])
+    def test_lowest_trainable_conv_runs_no_d_input_gemm(self, monkeypatch, k):
+        """Nothing reads the gradient at the input of the lowest trainable
+        conv, so it runs only its d_w GEMMs, whose products have one row per
+        filter; the convs above run d_input too, and no frozen conv runs a
+        backward at all. Only the trainable parameters get gradients."""
+        spec = ArchSpec(((1, 4), (1, 8), (1, 16)), GapHead(), num_classes=4, in_channels=3,
+                        input_size=8)
+        m = set_trainable(build(spec, seed=1), k)
+        rows: dict[int, set] = {}
         current = []
         real_backward, real_mm64 = nn.conv2d_backward, nn._mm64
 
         def backward(x, p, d_out, **kwargs):
-            current.append(rows.setdefault(p.weights.shape, set()))
+            current.append(rows.setdefault(p.weights.shape[0], set()))
             try:
                 return real_backward(x, p, d_out, **kwargs)
             finally:
@@ -608,8 +621,27 @@ class TestLossAndGradients:
         monkeypatch.setattr(nn, "conv2d_backward", backward)
         monkeypatch.setattr(nn, "_mm64", mm64)
         x = Tensor(np.random.default_rng(4).uniform(0, 1, (2, 3, 8, 8)).astype(np.float32))
-        _, _, grads = loss_and_gradients(build(spec, seed=1), x, [0, 1])
-        assert set(grads) == {"block1.conv1.w", "block1.conv1.b", "block2.conv1.w",
-                              "block2.conv1.b", "head.out.w", "head.out.b"}
-        assert rows[(4, 3, 3, 3)] == {4}
-        assert rows[(8, 4, 3, 3)] - {8}
+        _, _, grads = loss_and_gradients(m, x, [0, 1])
+        assert set(grads) == {name for name, t in m.trainable.items() if t}
+        filters = [f for _, f in spec.blocks]
+        assert set(rows) == set(filters[k:])
+        assert rows[filters[k]] == {filters[k]}
+        assert all(rows[f] - {f} for f in filters[k + 1:])
+
+    @pytest.mark.parametrize("head,first_dense", [(GapHead(), "head.out"),
+                                                  (FcHead((3,)), "head.fc1")], ids=["gap", "fc"])
+    @pytest.mark.parametrize("k", [0, 1, 2], ids=["freeze0", "freeze1", "freeze2"])
+    def test_tape_starts_at_the_lowest_trainable_layer(self, head, first_dense, k):
+        """The frozen blocks run as inference: the tape holds each layer from
+        the lowest one with a trainable parameter up, and none below it."""
+        import defectnet.model as model_mod
+        spec = ArchSpec(((1, 4), (1, 8)), head, num_classes=4, in_channels=3, input_size=8)
+        m = set_trainable(build(spec, seed=1), k)
+        features, head_layers = model_mod.layers(spec)
+        named = [(type(layer), getattr(layer, "name", None)) for layer in features + head_layers]
+        start = named.index([(model_mod.Conv, "block1.conv1"), (model_mod.Conv, "block2.conv1"),
+                             (model_mod.Dense, first_dense)][k])
+        tape = []
+        x = Tensor(np.random.default_rng(4).uniform(0, 1, (2, 3, 8, 8)).astype(np.float32))
+        model_mod._run(m, x, tape)
+        assert [(type(layer), getattr(layer, "name", None)) for layer, _ in tape] == named[start:]

@@ -545,7 +545,7 @@ class TestMaxPoolMatchesWindowReference:
                 mp.setattr(nn, "conv2d_backward",
                            lambda x_, p_, d_out, **kw: seen.append(d_out) or nn.LayerGradients(
                                None, {"weights": None, "bias": None}))
-                dx, grads = layer.backward(ctx, nn.relu_backward(y, Tensor(d)))
+                dx, grads = layer.backward(ctx, nn.relu_backward(y, Tensor(d)), True)
             d_r = pool_ref.maxpool2d_backward(want_mask, Tensor(d)).array
             want_dx = np.where(r.array > 0, d_r, np.float32(0.0))
             assert dx is None and grads == {"c.w": None, "c.b": None}
