@@ -15,7 +15,9 @@ conv GlobalAvgPool or Flatten does. build, replace_head, forward and
 loss_and_gradients all walk that list, and param_shapes reads the
 parameter names and shapes off it, so it is the one place that knows the
 order of layers and parameters. The backward's tape starts at the lowest
-layer with a trainable parameter: a frozen prefix runs as inference.
+layer with a trainable parameter: a frozen prefix runs as inference. An
+untaped forward walks the feature layers one image at a time, so its
+memory does not grow with the batch, and runs the head on the whole batch.
 
 The default head is GAP -> single dense -> softmax, which serves both
 classification and class-activation mapping; a conventional FC head is
@@ -341,7 +343,11 @@ def _walk(model: Model, stack: list[Layer], x: Tensor, tape) -> Tensor:
 
 
 def _run(model: Model, batch: Tensor, tape=None) -> ForwardTrace:
-    """Forward pass; tapes (layer, ctx) from the lowest trainable layer up, given a tape."""
+    """Forward pass; tapes (layer, ctx) from the lowest trainable layer up,
+    given a tape. Without one, the feature layers run on each image alone,
+    a one-image view of the batch, and the head on the concatenated final
+    maps: a conv's bits do not depend on its band edges, so the outputs are
+    those of the whole batch."""
     spec = model.spec
     if batch.rank != 4:
         raise ShapeError(f"batch must be NCHW, got {batch.shape}")
@@ -349,14 +355,20 @@ def _run(model: Model, batch: Tensor, tape=None) -> ForwardTrace:
     if batch.shape[1:] != expect:
         raise ShapeError(f"batch shape {batch.shape[1:]} != expected {expect}")
     features, head = layers(spec)
-    maps = _walk(model, features, batch, tape)
+    if tape is None:
+        maps = Tensor._wrap(np.concatenate([
+            _walk(model, features, Tensor._wrap(batch.array[i : i + 1]), None).array
+            for i in range(batch.shape[0])]))
+    else:
+        maps = _walk(model, features, batch, tape)
     logits = _walk(model, head, maps, tape)
     return ForwardTrace(logits=logits, probs=nn.softmax(logits), final_conv_maps=maps)
 
 
 def forward(model: Model, batch: Tensor) -> ForwardTrace:
-    """Forward pass. Finite weights can still overflow float32: logits that
-    are not finite raise DivergenceError."""
+    """Untaped forward pass: the convs run one image at a time, so memory
+    does not grow with the batch. Finite weights can still overflow
+    float32: logits that are not finite raise DivergenceError."""
     trace = _run(model, batch)
     if not np.isfinite(trace.logits.array).all():
         raise DivergenceError("the logits are not finite")

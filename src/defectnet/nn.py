@@ -22,15 +22,17 @@ kept as an oracle in the test suite) over the float64 patch matrix
 gathered from the (C, N, H, W) view of the unpadded input with virtual
 zero padding: no padded copy of an activation is built. One band walk,
 _patch_bands, yields that matrix, zero-padded to whole 16-column panels,
-in bands of patch columns of at most CHUNK_BYTES; each band copies the
-in-range rectangle of every tap and zeroes the strips that fall in the
-padding. One correlation, _correlate, serves the forward and d_input, and
-each of its bands keeps the bits of the one whole product: d_input
-correlates the (O, N, oh, ow) view of d_out (zero-inserted between
-strides only when the stride exceeds 1), virtually padded by k-1-pad,
-with the flipped, transposed filters, and rounds once. d_w sums
-d_out @ cols.T over the same bands in float64 and rounds once, taking
-d_out's bands from the same walk as the 1x1 patch matrix of that view.
+in bands of patch columns; each band copies the in-range rectangle of
+every tap and zeroes the strips that fall in the padding. One
+correlation, _correlate, serves the forward and d_input, and each of its
+bands, whose patch columns and product together hold at most
+CHUNK_BYTES, keeps the bits of the one whole product: d_input correlates
+the (O, N, oh, ow) view of d_out (zero-inserted between strides only
+when the stride exceeds 1), virtually padded by k-1-pad, with the
+flipped, transposed filters, and rounds once. d_w sums d_out @ cols.T
+over bands of at most CHUNK_BYTES of patch columns in float64 and rounds
+once, taking d_out's bands from the same walk as the 1x1 patch matrix of
+that view.
 
 _correlate has one epilogue: each band's product lands in one reused
 float64 buffer and is rounded straight into the output, where the bias is
@@ -107,7 +109,8 @@ def _conv_geometry(x_shape, p: ConvParams):
 
 
 CHUNK_BYTES = 16 << 20
-"""Cap on one band of a float64 patch matrix, in bytes. A cap of 8 MiB or
+"""Cap on the float64 buffers of one band, in bytes: a correlation's patch
+band together with its product, and d_w's patch band. A cap of 8 MiB or
 less slowed 64-px training at batch 8 by about 15%: glibc then returned
 the band buffers to the OS between calls and faulted them back in 4 KiB
 pages on the next call."""
@@ -128,10 +131,12 @@ def _bands(length: int, line_bytes: int, other: int, align: int = 1) -> list[tup
     multiple of 16, into near-equal bands whose inner edges fall on
     multiples of lcm(16, align).
 
-    line_bytes is the float64 operand size of one column and other the
-    product of the GEMM's two other dimensions. Each band holds at most
-    CHUNK_BYTES of operand, unless one unit of lcm(16, align) columns or the
-    small-matrix limit asks for more.
+    line_bytes is the float64 size of one column of the band's buffers (a
+    correlation counts its patch column and its product column, d_w its
+    patch column) and other the product of the GEMM's two other
+    dimensions. Each band holds at most CHUNK_BYTES of those buffers,
+    unless one unit of lcm(16, align) columns or the small-matrix limit
+    asks for more.
     """
     unit = math.lcm(_BAND_ALIGN, align)
     end = -(-length // _BAND_ALIGN) * _BAND_ALIGN
@@ -243,7 +248,7 @@ def _correlate(x: np.ndarray, pad, w64: np.ndarray, bias, kh, kw, stride, oh, ow
     """
     (c, n), o = x.shape[:2], len(w64)
     k, f = c * kh * kw, 2 if pool else 1
-    bands = _bands(n * oh * ow, 8 * k, o * k, 2 * ow if pool else 1)
+    bands = _bands(n * oh * ow, 8 * (k + o), o * k, 2 * ow if pool else 1)
     out = np.empty((n, o, oh // f, ow // f), dtype=np.float32)
     width = max(b - a for a, b in bands)
     product = np.empty(o * width)
@@ -311,9 +316,11 @@ def conv2d_backward(x: Tensor, p: ConvParams, d_out: Tensor, with_input=True,
     s, pad = p.stride, p.padding
     d_bias = np.sum(d_out.array, axis=(0, 2, 3), dtype=np.float64).astype(np.float32)
 
-    # d_w: d_out @ cols.T over the forward's bands of patch columns, summed
-    # in float64 in ascending band order and rounded once; d_out's band is
-    # the 1x1 patch matrix of its (O, N, oh, ow) view on the same edges.
+    # d_w: d_out @ cols.T over bands of patch columns, summed in float64 in
+    # ascending band order and rounded once; d_out's band is the 1x1 patch
+    # matrix of its (O, N, oh, ow) view on the same edges. The sum's bits
+    # depend on the edges, so its cap counts the patch column only, as when
+    # the golden digests were recorded.
     d_t = d_out.array.transpose(1, 0, 2, 3)
     k = c * kh * kw
     bands = _bands(n * oh * ow, 8 * k, out_ch * k)

@@ -228,18 +228,40 @@ class TestForward:
         # for the mask, the band's product and the pool's temporaries
         assert peak < act + act / 4 + band + act / 4
 
+    def test_untaped_forward_peak_does_not_grow_with_the_batch(self, monkeypatch):
+        """An untaped forward runs the convs one image at a time, so a 6-image
+        forward holds, beyond the peak of a 1-image one, only the batch's
+        input and final maps: never six images' activations at once."""
+        import tracemalloc
+        monkeypatch.setattr(nn, "CHUNK_BYTES", 64 << 10)
+        spec = ArchSpec(((3, 16),), GapHead(), num_classes=4, in_channels=3, input_size=128)
+        m = build(spec, seed=0)
+        x = np.random.default_rng(7).uniform(0, 1, (6, 3, 128, 128)).astype(np.float32)
+        act, maps = 16 * 128 * 128 * 4, 6 * 16 * 64 * 64 * 4
+
+        def peak(batch):
+            batch = Tensor(batch)
+            tracemalloc.start()
+            try:
+                forward(m, batch)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(x) < peak(x[:1]) + x.nbytes + maps + act / 4
+
     def test_batch_forward_equals_each_image_alone(self, monkeypatch):
-        """A batch's outputs equal those of each image run alone, bit for bit,
-        with bands that split inside images and cross their edges."""
+        """forward runs the convs one image at a time, so the whole batch goes
+        through the taped path: the probs of loss_and_gradients on a batch
+        equal those of forward on each image, bit for bit, with bands that
+        split inside images and cross their edges."""
         monkeypatch.setattr(nn, "CHUNK_BYTES", 64 << 10)
         m = build(arch_preset("paper-vgg16", input_size=64), seed=3)
         x = np.random.default_rng(8).uniform(0, 1, (5, 3, 64, 64)).astype(np.float32)
-        batch = forward(m, Tensor(x))
+        probs = loss_and_gradients(m, Tensor(x), [0, 1, 2, 3, 0])[1].array
         for i in range(len(x)):
-            one = forward(m, Tensor(x[i : i + 1]))
-            for name in ("final_conv_maps", "logits", "probs"):
-                got, want = getattr(batch, name).array[i : i + 1], getattr(one, name).array
-                assert got.tobytes() == want.tobytes(), (i, name)
+            one = forward(m, Tensor(x[i : i + 1])).probs.array
+            assert probs[i : i + 1].tobytes() == one.tobytes(), i
 
     def test_wrong_input_shape(self):
         m = build(TOY, seed=0)

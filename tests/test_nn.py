@@ -329,6 +329,24 @@ def test_conv_peak_holds_no_padded_activation(monkeypatch):
         assert peak < outputs + band_bytes + x.array.nbytes / 4
 
 
+def test_correlation_bands_cap_the_patch_band_and_its_product(monkeypatch):
+    """CHUNK_BYTES caps both float64 buffers of a correlation band: the
+    patch band, K rows, and its product, O rows. On block1.conv1 of
+    paper-vgg16 at 224 px and batch 4 (K = 27, O = 32) the product is the
+    larger of the two."""
+    widths, real_patch_bands = [], nn._patch_bands
+
+    def patch_bands(*args):
+        for boxes, cols in real_patch_bands(*args):
+            widths.append(cols.shape[1])
+            yield boxes, cols
+
+    monkeypatch.setattr(nn, "_patch_bands", patch_bands)
+    x, w, b, _ = conv_case(0, 4, 3, 32, 224, 224, 3, 1, 1)
+    nn.conv2d_forward(t32(x), nn.ConvParams(t32(w), t32(b), padding=1), relu=True)
+    assert len(widths) > 1 and max(widths) * 8 * (27 + 32) <= nn.CHUNK_BYTES
+
+
 # Shapes whose products end in a partial 16-column micro-panel unless
 # zero-padded, the ones on which OpenBLAS's float64 sums can depend on the
 # thread count: d_w over 27 patch rows (3 input channels, 3x3), and
