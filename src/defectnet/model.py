@@ -15,9 +15,10 @@ conv GlobalAvgPool or Flatten does. build, replace_head, forward and
 loss_and_gradients all walk that list, and param_shapes reads the
 parameter names and shapes off it, so it is the one place that knows the
 order of layers and parameters. The backward's tape starts at the lowest
-layer with a trainable parameter: a frozen prefix runs as inference. An
-untaped forward walks the feature layers one image at a time, so its
-memory does not grow with the batch, and runs the head on the whole batch.
+layer with a trainable parameter. The feature layers below it, all of
+them in an untaped forward, run as inference one image at a time, so
+their memory does not grow with the batch; the layers above it and the
+head run on the whole batch.
 
 The default head is GAP -> single dense -> softmax, which serves both
 classification and class-activation mapping; a conventional FC head is
@@ -330,13 +331,17 @@ class ForwardTrace:
     final_conv_maps: Tensor
 
 
+def _trains(model: Model, layer: Layer) -> bool:
+    return any(model.trainable[n] for n in layer.shapes())
+
+
 def _walk(model: Model, stack: list[Layer], x: Tensor, tape) -> Tensor:
     """Run the layers in order. A ctx is dropped once it is on the tape, or at
     once without one or below the lowest layer with a trainable parameter,
     so an untaped layer frees its input as soon as its output exists."""
     for layer in stack:
         x, ctx = layer.forward(model.params, x)
-        if tape is not None and (tape or any(model.trainable[n] for n in layer.shapes())):
+        if tape is not None and (tape or _trains(model, layer)):
             tape.append((layer, ctx))
         del ctx
     return x
@@ -344,10 +349,11 @@ def _walk(model: Model, stack: list[Layer], x: Tensor, tape) -> Tensor:
 
 def _run(model: Model, batch: Tensor, tape=None) -> ForwardTrace:
     """Forward pass; tapes (layer, ctx) from the lowest trainable layer up,
-    given a tape. Without one, the feature layers run on each image alone,
-    a one-image view of the batch, and the head on the concatenated final
-    maps: a conv's bits do not depend on its band edges, so the outputs are
-    those of the whole batch."""
+    given a tape. The feature layers below that one (all of them without a
+    tape) run untaped on each image alone, a one-image view of the batch,
+    and their outputs are concatenated; the layers above run on the whole
+    batch. A conv's bits do not depend on its band edges, so the outputs
+    are those of the whole batch."""
     spec = model.spec
     if batch.rank != 4:
         raise ShapeError(f"batch must be NCHW, got {batch.shape}")
@@ -355,12 +361,14 @@ def _run(model: Model, batch: Tensor, tape=None) -> ForwardTrace:
     if batch.shape[1:] != expect:
         raise ShapeError(f"batch shape {batch.shape[1:]} != expected {expect}")
     features, head = layers(spec)
-    if tape is None:
-        maps = Tensor._wrap(np.concatenate([
-            _walk(model, features, Tensor._wrap(batch.array[i : i + 1]), None).array
+    low = next((i for i, layer in enumerate(features)
+                if tape is not None and _trains(model, layer)), len(features))
+    x = batch
+    if low:
+        x = Tensor._wrap(np.concatenate([
+            _walk(model, features[:low], Tensor._wrap(batch.array[i : i + 1]), None).array
             for i in range(batch.shape[0])]))
-    else:
-        maps = _walk(model, features, batch, tape)
+    maps = _walk(model, features[low:], x, tape)
     logits = _walk(model, head, maps, tape)
     return ForwardTrace(logits=logits, probs=nn.softmax(logits), final_conv_maps=maps)
 
@@ -377,10 +385,10 @@ def forward(model: Model, batch: Tensor) -> ForwardTrace:
 
 def loss_and_gradients(model: Model, batch: Tensor, targets) -> tuple[float, Tensor, dict[str, Tensor]]:
     """One forward/backward pass: (mean loss, probs, gradient per trainable
-    parameter). The layers below the lowest trainable one run untaped, and
-    that one skips d_input; each (layer, ctx) leaves the tape as its
-    backward runs, so an activation is freed once no layer below still
-    reads it."""
+    parameter). The layers below the lowest trainable one run untaped, the
+    feature layers one image at a time, and that one skips d_input; each
+    (layer, ctx) leaves the tape as its backward runs, so an activation is
+    freed once no layer below still reads it."""
     tape: list = []
     probs = _run(model, batch, tape).probs
     loss = nn.cross_entropy(probs, targets)

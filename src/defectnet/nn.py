@@ -25,14 +25,15 @@ _patch_bands, yields that matrix, zero-padded to whole 16-column panels,
 in bands of patch columns; each band copies the in-range rectangle of
 every tap and zeroes the strips that fall in the padding. One
 correlation, _correlate, serves the forward and d_input, and each of its
-bands, whose patch columns and product together hold at most
-CHUNK_BYTES, keeps the bits of the one whole product: d_input correlates
-the (O, N, oh, ow) view of d_out (zero-inserted between strides only
-when the stride exceeds 1), virtually padded by k-1-pad, with the
-flipped, transposed filters, and rounds once. d_w sums d_out @ cols.T
-over bands of at most CHUNK_BYTES of patch columns in float64 and rounds
-once, taking d_out's bands from the same walk as the 1x1 patch matrix of
-that view.
+bands keeps the bits of the one whole product: d_input correlates the
+(O, N, oh, ow) view of d_out (zero-inserted between strides only when
+the stride exceeds 1), virtually padded by k-1-pad, with the flipped,
+transposed filters, and rounds once. d_w sums d_out @ cols.T over bands
+in float64 and rounds once, taking d_out's bands from the same walk as
+the 1x1 patch matrix of that view. One rule, _bands, sizes the bands of
+both: a band's K patch rows plus the O rows beside them (the product,
+or d_out's band) hold at most CHUNK_BYTES, so a non-pooled conv's d_w
+walks the edges of its forward.
 
 _correlate has one epilogue: each band's product lands in one reused
 float64 buffer and is rounded straight into the output, where the bias is
@@ -109,11 +110,11 @@ def _conv_geometry(x_shape, p: ConvParams):
 
 
 CHUNK_BYTES = 16 << 20
-"""Cap on the float64 buffers of one band, in bytes: a correlation's patch
-band together with its product, and d_w's patch band. A cap of 8 MiB or
-less slowed 64-px training at batch 8 by about 15%: glibc then returned
-the band buffers to the OS between calls and faulted them back in 4 KiB
-pages on the next call."""
+"""Cap on the float64 buffers of one band, in bytes: its K patch rows plus
+the O rows beside them, a correlation's product or d_w's d_out band. A cap
+of 8 MiB or less slowed 64-px training at batch 8 by about 15%: glibc then
+returned the band buffers to the OS between calls and faulted them back in
+4 KiB pages on the next call."""
 
 # A correlation's band keeps the bits of the whole product only where each
 # of its columns meets the same OpenBLAS dgemm micro-kernel as in the whole.
@@ -126,23 +127,21 @@ _BAND_ALIGN = 16
 _SMALL_GEMM = 100 ** 3
 
 
-def _bands(length: int, line_bytes: int, other: int, align: int = 1) -> list[tuple[int, int]]:
+def _bands(length: int, k: int, o: int, align: int = 1) -> list[tuple[int, int]]:
     """Split the patch columns [0, length) of one GEMM, zero-padded to a
     multiple of 16, into near-equal bands whose inner edges fall on
     multiples of lcm(16, align).
 
-    line_bytes is the float64 size of one column of the band's buffers (a
-    correlation counts its patch column and its product column, d_w its
-    patch column) and other the product of the GEMM's two other
-    dimensions. Each band holds at most CHUNK_BYTES of those buffers,
-    unless one unit of lcm(16, align) columns or the small-matrix limit
-    asks for more.
+    A band holds k patch rows and the o rows beside them (a correlation's
+    product or d_w's d_out band), 8 * (k + o) float64 bytes a column, and
+    at most CHUNK_BYTES of them, unless one unit of lcm(16, align) columns
+    or the small-matrix limit on o * k * width asks for more.
     """
     unit = math.lcm(_BAND_ALIGN, align)
     end = -(-length // _BAND_ALIGN) * _BAND_ALIGN
     units = -(-end // unit)
-    cap_units = max(1, CHUNK_BYTES // (line_bytes * unit))
-    min_units = _SMALL_GEMM // (other * unit) + 1
+    cap_units = max(1, CHUNK_BYTES // (8 * (k + o) * unit))
+    min_units = _SMALL_GEMM // (o * k * unit) + 1
     count = max(1, min(-(-units // cap_units), units // min_units))
     q, r = divmod(units, count)
     edges = [0]
@@ -151,7 +150,7 @@ def _bands(length: int, line_bytes: int, other: int, align: int = 1) -> list[tup
     # The last band ends at the last 16-column panel; cut short of a whole
     # unit, it joins the band before it if it would fall to the small kernel.
     edges[-1] = end
-    if count > 1 and (end - edges[-2]) * other <= _SMALL_GEMM:
+    if count > 1 and (end - edges[-2]) * o * k <= _SMALL_GEMM:
         del edges[-2]
     return list(zip(edges[:-1], edges[1:]))
 
@@ -248,7 +247,7 @@ def _correlate(x: np.ndarray, pad, w64: np.ndarray, bias, kh, kw, stride, oh, ow
     """
     (c, n), o = x.shape[:2], len(w64)
     k, f = c * kh * kw, 2 if pool else 1
-    bands = _bands(n * oh * ow, 8 * (k + o), o * k, 2 * ow if pool else 1)
+    bands = _bands(n * oh * ow, k, o, 2 * ow if pool else 1)
     out = np.empty((n, o, oh // f, ow // f), dtype=np.float32)
     width = max(b - a for a, b in bands)
     product = np.empty(o * width)
@@ -318,12 +317,11 @@ def conv2d_backward(x: Tensor, p: ConvParams, d_out: Tensor, with_input=True,
 
     # d_w: d_out @ cols.T over bands of patch columns, summed in float64 in
     # ascending band order and rounded once; d_out's band is the 1x1 patch
-    # matrix of its (O, N, oh, ow) view on the same edges. The sum's bits
-    # depend on the edges, so its cap counts the patch column only, as when
-    # the golden digests were recorded.
+    # matrix of its (O, N, oh, ow) view on the same edges. A band's K patch
+    # rows and its O d_out rows share the cap, as in a correlation.
     d_t = d_out.array.transpose(1, 0, 2, 3)
     k = c * kh * kw
-    bands = _bands(n * oh * ow, 8 * k, out_ch * k)
+    bands = _bands(n * oh * ow, k, out_ch)
     d_w = np.zeros((out_ch, k), dtype=np.float64)
     for (_, cols), (_, d_band) in zip(
             _patch_bands(x.array.transpose(1, 0, 2, 3), (pad, pad), bands, kh, kw, s, oh, ow),

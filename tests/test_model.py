@@ -188,7 +188,7 @@ class TestForward:
         m = build(spec, seed=0)
         x = Tensor(np.random.default_rng(7).uniform(0, 1, (2, 3, 128, 128)).astype(np.float32))
         act = 2 * 16 * 128 * 128 * 4
-        band = max(8 * k * max(b - a for a, b in nn._bands(2 * 128 * 128, 8 * k, 16 * k))
+        band = max(8 * k * max(b - a for a, b in nn._bands(2 * 128 * 128, k, 16))
                    for k in (3 * 9, 16 * 9))
         tracemalloc.start()
         try:
@@ -667,3 +667,46 @@ class TestLossAndGradients:
         x = Tensor(np.random.default_rng(4).uniform(0, 1, (2, 3, 8, 8)).astype(np.float32))
         model_mod._run(m, x, tape)
         assert [(type(layer), getattr(layer, "name", None)) for layer, _ in tape] == named[start:]
+
+    @pytest.mark.parametrize("k", [1, 2], ids=["freeze1", "freeze2"])
+    def test_frozen_convs_run_one_image_at_a_time(self, monkeypatch, k):
+        """The frozen convs below the tape run as inference on each image
+        alone; the trainable convs above run on the whole batch."""
+        spec = ArchSpec(((1, 4), (1, 8), (1, 16)), GapHead(), num_classes=4, in_channels=3,
+                        input_size=8)
+        m = set_trainable(build(spec, seed=1), k)
+        images: dict[int, set] = {}
+        real_forward = nn.conv2d_forward
+
+        def conv_forward(x, p, **kwargs):
+            images.setdefault(p.weights.shape[0], set()).add(x.shape[0])
+            return real_forward(x, p, **kwargs)
+
+        monkeypatch.setattr(nn, "conv2d_forward", conv_forward)
+        x = Tensor(np.random.default_rng(4).uniform(0, 1, (4, 3, 8, 8)).astype(np.float32))
+        loss_and_gradients(m, x, [0, 1, 2, 3])
+        filters = [f for _, f in spec.blocks]
+        assert images == {f: {1} if b < k else {4} for b, f in enumerate(filters)}
+
+    def test_frozen_step_peak_does_not_grow_with_the_batch(self, monkeypatch):
+        """With every block frozen, a step runs the convs one image at a
+        time, as an untaped forward does: a 6-image step holds, beyond the
+        peak of a 1-image one, only the batch's input and final maps."""
+        import tracemalloc
+        monkeypatch.setattr(nn, "CHUNK_BYTES", 64 << 10)
+        spec = ArchSpec(((3, 16),), GapHead(), num_classes=4, in_channels=3, input_size=128)
+        m = set_trainable(build(spec, seed=0), 1)
+        x = np.random.default_rng(7).uniform(0, 1, (6, 3, 128, 128)).astype(np.float32)
+        act, maps = 16 * 128 * 128 * 4, 6 * 16 * 64 * 64 * 4
+
+        def peak(batch):
+            targets = [0, 1, 2, 3, 0, 1][: len(batch)]
+            batch = Tensor(batch)
+            tracemalloc.start()
+            try:
+                loss_and_gradients(m, batch, targets)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(x) < peak(x[:1]) + x.nbytes + maps + act / 4

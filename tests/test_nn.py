@@ -273,7 +273,7 @@ def test_bands_keep_the_float64_bits_of_the_whole_product(o, k, length, chunk_by
     w = rng.normal(size=(o, k))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(nn, "CHUNK_BYTES", chunk_bytes)
-        col_bands = nn._bands(length, 8 * k, o * k, align)
+        col_bands = nn._bands(length, k, o, align)
     cols = np.zeros((k, col_bands[-1][1]))
     cols[:, :length] = rng.normal(size=(k, length))
     assert col_bands[0][0] == 0 and col_bands[-1][1] - length in range(16)
@@ -314,7 +314,7 @@ def test_conv_peak_holds_no_padded_activation(monkeypatch):
     p = nn.ConvParams(t32(w), t32(b), padding=1)
     x, r = t32(x), t32(r)
     k = 16 * 3 * 3
-    band_bytes = 8 * k * max(m1 - m0 for m0, m1 in nn._bands(2 * 96 * 96, 8 * k, 16 * k))
+    band_bytes = 8 * k * max(m1 - m0 for m0, m1 in nn._bands(2 * 96 * 96, k, 16))
     def backward():
         grads = nn.conv2d_backward(x, p, r)
         return [grads.d_input, *grads.d_params.values()]
@@ -330,21 +330,28 @@ def test_conv_peak_holds_no_padded_activation(monkeypatch):
 
 
 def test_correlation_bands_cap_the_patch_band_and_its_product(monkeypatch):
-    """CHUNK_BYTES caps both float64 buffers of a correlation band: the
-    patch band, K rows, and its product, O rows. On block1.conv1 of
-    paper-vgg16 at 224 px and batch 4 (K = 27, O = 32) the product is the
-    larger of the two."""
-    widths, real_patch_bands = [], nn._patch_bands
+    """CHUNK_BYTES caps both float64 buffers of a band: the patch band, K
+    rows, and the O rows beside it, a correlation's product or d_w's d_out
+    band. On block1.conv1 of paper-vgg16 at 224 px and batch 4 (K = 27,
+    O = 32) the O rows are the larger of the two."""
+    walks, real_patch_bands = [], nn._patch_bands
 
     def patch_bands(*args):
+        widths = []
+        walks.append(widths)
         for boxes, cols in real_patch_bands(*args):
             widths.append(cols.shape[1])
             yield boxes, cols
 
     monkeypatch.setattr(nn, "_patch_bands", patch_bands)
-    x, w, b, _ = conv_case(0, 4, 3, 32, 224, 224, 3, 1, 1)
-    nn.conv2d_forward(t32(x), nn.ConvParams(t32(w), t32(b), padding=1), relu=True)
-    assert len(widths) > 1 and max(widths) * 8 * (27 + 32) <= nn.CHUNK_BYTES
+    x, w, b, r = conv_case(0, 4, 3, 32, 224, 224, 3, 1, 1)
+    p = nn.ConvParams(t32(w), t32(b), padding=1)
+    nn.conv2d_forward(t32(x), p, relu=True)
+    nn.conv2d_backward(t32(x), p, t32(r), with_input=False)
+    # the forward's walk, then d_w's walks of the patch matrix and of d_out
+    assert len(walks) == 3
+    for widths in walks:
+        assert len(widths) > 1 and max(widths) * 8 * (27 + 32) <= nn.CHUNK_BYTES
 
 
 # Shapes whose products end in a partial 16-column micro-panel unless
