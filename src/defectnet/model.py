@@ -18,7 +18,11 @@ order of layers and parameters. The backward's tape starts at the lowest
 layer with a trainable parameter. The feature layers below it, all of
 them in an untaped forward, run as inference one image at a time, so
 their memory does not grow with the batch; the layers above it and the
-head run on the whole batch.
+head run on the whole batch. An untaped forward also takes the batch as
+a sequence of CHW images, read as the walk reaches each, so evaluation
+builds no batch tensor; the head still runs once on the whole batch's
+final maps, since a one-row product need not have the bits of that row
+of the whole one.
 
 The default head is GAP -> single dense -> softmax, which serves both
 classification and class-activation mapping; a conventional FC head is
@@ -29,6 +33,7 @@ from __future__ import annotations
 
 import math
 import re
+from collections.abc import Iterable
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -347,36 +352,59 @@ def _walk(model: Model, stack: list[Layer], x: Tensor, tape) -> Tensor:
     return x
 
 
-def _run(model: Model, batch: Tensor, tape=None) -> ForwardTrace:
+def _images(spec: ArchSpec, batch) -> Iterable[Tensor]:
+    """The images of a batch as (1, C, H, W) tensors, checked against the
+    input shape: views of an NCHW tensor, all checked before the first, or
+    each CHW tensor of a sequence, checked and viewed as the walk reaches it."""
+    expect = (spec.in_channels, spec.input_size, spec.input_size)
+    if isinstance(batch, Tensor):
+        if batch.rank != 4:
+            raise ShapeError(f"batch must be NCHW, got {batch.shape}")
+        if batch.shape[1:] != expect:
+            raise ShapeError(f"batch shape {batch.shape[1:]} != expected {expect}")
+        return [Tensor._wrap(batch.array[i : i + 1]) for i in range(batch.shape[0])]
+    return (_one_image(image, expect) for image in batch)
+
+
+def _one_image(image: Tensor, expect: tuple[int, int, int]) -> Tensor:
+    if image.shape != expect:
+        raise ShapeError(f"image shape {image.shape} != expected {expect}")
+    return Tensor._wrap(image.array[None])
+
+
+def _run(model: Model, batch: Tensor | Iterable[Tensor], tape=None) -> ForwardTrace:
     """Forward pass; tapes (layer, ctx) from the lowest trainable layer up,
     given a tape. The feature layers below that one (all of them without a
-    tape) run untaped on each image alone, a one-image view of the batch,
-    and their outputs are concatenated; the layers above run on the whole
-    batch. A conv's bits do not depend on its band edges, so the outputs
-    are those of the whole batch."""
-    spec = model.spec
-    if batch.rank != 4:
-        raise ShapeError(f"batch must be NCHW, got {batch.shape}")
-    expect = (spec.in_channels, spec.input_size, spec.input_size)
-    if batch.shape[1:] != expect:
-        raise ShapeError(f"batch shape {batch.shape[1:]} != expected {expect}")
-    features, head = layers(spec)
+    tape) run untaped on each image alone, and their outputs are
+    concatenated; the layers above and the head run on the whole batch. A
+    conv's bits do not depend on its band edges, so the outputs are those
+    of the whole batch.
+
+    The batch is an NCHW tensor or a sequence of CHW images. A sequence is
+    read one image at a time as the walk reaches it, so a generator that
+    decodes each image on demand never holds the group's input at once. A
+    batch tensor whose lowest layer is taped goes to it whole, uncopied."""
+    features, head = layers(model.spec)
     low = next((i for i, layer in enumerate(features)
                 if tape is not None and _trains(model, layer)), len(features))
-    x = batch
-    if low:
-        x = Tensor._wrap(np.concatenate([
-            _walk(model, features[:low], Tensor._wrap(batch.array[i : i + 1]), None).array
-            for i in range(batch.shape[0])]))
+    images = _images(model.spec, batch)
+    if low == 0 and isinstance(batch, Tensor):
+        x = batch
+    else:
+        x = Tensor._wrap(np.concatenate([_walk(model, features[:low], image, None).array
+                                         for image in images]))
     maps = _walk(model, features[low:], x, tape)
     logits = _walk(model, head, maps, tape)
     return ForwardTrace(logits=logits, probs=nn.softmax(logits), final_conv_maps=maps)
 
 
-def forward(model: Model, batch: Tensor) -> ForwardTrace:
-    """Untaped forward pass: the convs run one image at a time, so memory
-    does not grow with the batch. Finite weights can still overflow
-    float32: logits that are not finite raise DivergenceError."""
+def forward(model: Model, batch: Tensor | Iterable[Tensor]) -> ForwardTrace:
+    """Untaped forward pass of an NCHW batch, or of a sequence of CHW images
+    (a generator may decode each on demand): the convs run one image at a
+    time, so memory does not grow with the batch, and the head runs once on
+    the whole batch's final maps, which gives both inputs the same bits.
+    Finite weights can still overflow float32: logits that are not finite
+    raise DivergenceError."""
     trace = _run(model, batch)
     if not np.isfinite(trace.logits.array).all():
         raise DivergenceError("the logits are not finite")

@@ -269,6 +269,19 @@ def test_wrong_sized_photo_is_named(work, labels):
         assert main(train_on(work, work / "tree")) == 3
     line, = err.getvalue().splitlines()
     assert str(work / "tree") in line and "is 16x16, the model takes 8x8" in line
+    line = one_error_line(["eval", str(tile_model(work)), str(work / "tree"),
+                           "--out-csv", str(work / "cm.csv")])
+    assert line.startswith("3 ") and str(work / "tree") in line
+    assert "is 16x16, the model takes 8x8" in line
+
+
+def tile_model(work):
+    """A TILE-px GAP-head archive with its run.meta, for `eval` on a tree."""
+    (work / "m8").mkdir(exist_ok=True)
+    with open(work / "m8" / "model.dnw", "wb") as fh:
+        write_weights(build(ArchSpec(((1, 4),), GapHead(), 4, input_size=TILE), 0), fh)
+    (work / "m8" / "run.meta").write_text(f"input_size = {TILE}\n")
+    return work / "m8" / "model.dnw"
 
 
 def one_error_line(argv) -> str:
@@ -283,15 +296,11 @@ def test_malformed_photo_is_named(work):
     dataset_tree(work / "tree", [])
     bad = work / "tree" / "mould" / "b.ppm"
     bad.write_bytes(b"P5 junk")
-    (work / "m8").mkdir(exist_ok=True)
-    with open(work / "m8" / "model.dnw", "wb") as fh:
-        write_weights(build(ArchSpec(((1, 4),), GapHead(), 4, input_size=TILE), 0), fh)
-    (work / "m8" / "run.meta").write_text(f"input_size = {TILE}\n")
+    model = tile_model(work)
     shutil.rmtree(work / "tiles", ignore_errors=True)
     for argv in (["prepare", str(work / "tree"), str(work / "tiles"), "--tile", str(TILE)],
                  train_on(work, work / "tree"),
-                 ["eval", str(work / "m8" / "model.dnw"), str(work / "tree"),
-                  "--out-csv", str(work / "cm.csv")]):
+                 ["eval", str(model), str(work / "tree"), "--out-csv", str(work / "cm.csv")]):
         assert one_error_line(argv) == f"4 image error: {bad}: bad magic b'P5', " \
                                        "expected b'P6' (byte offset 0)"
 

@@ -263,10 +263,24 @@ class TestForward:
             one = forward(m, Tensor(x[i : i + 1])).probs.array
             assert probs[i : i + 1].tobytes() == one.tobytes(), i
 
+    @pytest.mark.parametrize("head", [GapHead(), FcHead((8,))], ids=["gap", "fc"])
+    def test_sequence_of_images_equals_the_batch(self, head):
+        """forward of a generator of CHW images walks them as it does the
+        batch's one-image views and runs the head once on all of them: the
+        logits, probs and maps are those of the stacked batch, bit for bit."""
+        m = build(ArchSpec(((1, 4), (1, 8)), head, 4, 3, 16), seed=2)
+        x = np.random.default_rng(4).uniform(0, 1, (3, 3, 16, 16)).astype(np.float32)
+        whole = forward(m, Tensor(x))
+        seq = forward(m, (Tensor(image) for image in x))
+        for field in ("logits", "probs", "final_conv_maps"):
+            assert getattr(seq, field).array.tobytes() == getattr(whole, field).array.tobytes()
+
     def test_wrong_input_shape(self):
         m = build(TOY, seed=0)
         with pytest.raises(ShapeError):
             forward(m, Tensor.zeros((1, 3, 16, 16)))
+        with pytest.raises(ShapeError, match="image shape"):
+            forward(m, [Tensor.zeros((3, 8, 8)), Tensor.zeros((3, 16, 16))])
 
     def test_fc_head_forward(self):
         m = build(ArchSpec(((1, 4),), FcHead((16,)), num_classes=4, input_size=8), seed=6)

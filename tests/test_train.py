@@ -1,13 +1,17 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from synth_data import noise_dataset, solid_image
 
-from defectnet.data import AugmentParams, LabeledDataset
+from defectnet import nn
+from defectnet.data import AugmentParams, LabeledDataset, augment, image_to_tensor
 from defectnet.errors import DatasetError
-from defectnet.model import (ArchSpec, GapHead, arch_preset, build,
+from defectnet.model import (ArchSpec, FcHead, GapHead, arch_preset, build, forward,
                              loss_and_gradients, param_block, set_trainable)
 from defectnet.tensor import Tensor
-from defectnet.train import TrainConfig, TrainHistory, evaluate, sgd_step, train
+from defectnet.train import (TrainConfig, TrainHistory, _evaluate_with_loss, _stack_batch,
+                             evaluate, sgd_step, train)
 
 TOY = ArchSpec(((1, 4),), GapHead(), num_classes=4, in_channels=3, input_size=8)
 AUG_OFF = AugmentParams(rotation_max_deg=0, shift_max_frac=0,
@@ -201,6 +205,46 @@ class TestEvaluate:
         with pytest.raises(DatasetError):
             evaluate(build(TOY, seed=0), LabeledDataset(items=[]))
 
+    @pytest.mark.parametrize("head", [GapHead(), FcHead((8,))], ids=["gap", "fc"])
+    def test_groups_equal_forward_on_the_stacked_batch(self, head):
+        """Five images in groups of two, the last one short: the confusion
+        counts and the loss bits are those of forward on each stacked group."""
+        m = build(ArchSpec(((1, 4), (1, 8)), head, 4, 3, 16), seed=5)
+        ds = LabeledDataset(items=noise_dataset(2, 16, seed=6).items[::-1][:5])
+        counts = np.zeros((4, 4), dtype=int)
+        loss_sum = 0.0
+        for start in range(0, 5, 2):
+            idxs = range(start, min(start + 2, 5))
+            batch = Tensor(np.stack([image_to_tensor(ds.image(i)).array for i in idxs]))
+            probs = forward(m, batch).probs
+            targets = [ds.label(i) for i in idxs]
+            loss_sum += nn.cross_entropy(probs, targets) * len(targets)
+            for t, p in zip(targets, np.argmax(probs.array, axis=1)):
+                counts[t, p] += 1
+        cm, loss = _evaluate_with_loss(m, ds, 2)
+        assert cm.counts == tuple(map(tuple, counts.tolist()))
+        assert np.float64(loss).tobytes() == np.float64(loss_sum / 5).tobytes()
+
+    def test_peak_does_not_grow_with_the_group(self, monkeypatch):
+        """Each image is read and converted only when forward's per-image walk
+        reaches it, so a 6-image group holds, beyond the peak of a 1-image
+        one, only the group's final maps: no float32 batch."""
+        monkeypatch.setattr(nn, "CHUNK_BYTES", 64 << 10)
+        m = build(ArchSpec(((3, 16),), GapHead(), 4, 3, 128), seed=0)
+        ds = noise_dataset(2, 128, seed=7)
+        act, maps = 16 * 128 * 128 * 4, 6 * 16 * 64 * 64 * 4
+
+        def peak(n):
+            part = LabeledDataset(items=ds.items[:n])
+            tracemalloc.start()
+            try:
+                evaluate(m, part, batch_size=6)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(6) < peak(1) + maps + act / 4
+
 
 def test_train_and_evaluate_reject_a_model_of_other_classes():
     m = build(ArchSpec(((1, 4),), GapHead(), num_classes=3, in_channels=3, input_size=8), seed=0)
@@ -222,3 +266,26 @@ def test_history_csv_format():
     assert lines[0] == "epoch,train_loss,train_acc,val_loss,val_acc"
     assert lines[1] == "1,1.500000,0.250000,1.250000,0.300000"
     assert lines[2] == "2,0.750000,0.500000,1.000000,0.450000"
+
+
+def test_stack_batch_fills_one_preallocated_batch():
+    """Each image is converted into its slot of one float32 batch: the peak is
+    that batch plus one image's conversion, never a list of images beside
+    their stacked copy. The bits are those of stacking the converted images."""
+    ds = noise_dataset(2, 64, seed=3)
+    aug = AugmentParams(rotation_max_deg=15, shift_max_frac=0.1, rng_seed=2)
+    batch, targets = _stack_batch(ds, range(8), 64, aug, 1, 2)
+    want = np.stack([image_to_tensor(augment(ds.image(i), aug,
+                                             np.random.default_rng((2, 1, 2, i)))).array
+                     for i in range(8)])
+    assert batch.array.tobytes() == want.tobytes()
+    assert targets == [ds.label(i) for i in range(8)]
+    tracemalloc.start()
+    try:
+        batch, _ = _stack_batch(ds, range(8), 64, AUG_OFF, 0, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    image = 3 * 64 * 64 * 4
+    assert batch.array.nbytes == 8 * image
+    assert peak < batch.array.nbytes + 3 * image
