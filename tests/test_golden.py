@@ -5,9 +5,11 @@ change unless CHANGES.md declares and explains the drift. They cover a
 tiny `train` run through the CLI (GAP head and FC head, with nothing, the
 first block or every block frozen: model.dnw and history.csv), the
 paper-vgg16 seed-0 logits on a fixed input, and the paper-vgg16
-gradients of a batch of two (the only digest whose backward has K > 72
+gradients of a batch of two (the only digests whose backward has K > 72
 and N > 1, so a changed summation order or swapped batch and channel axes
-in the conv kernels shows here).
+in the conv kernels shows here) with nothing, the first block or the
+first two blocks frozen, so that the lowest taped conv is block1.conv1,
+block2.conv1 or block3.conv1.
 """
 
 import contextlib
@@ -25,7 +27,8 @@ from synth_data import texture_image, write_tree
 import defectnet
 from defectnet.cli import main
 from defectnet.labels import LABEL_NAMES
-from defectnet.model import arch_preset, build, forward, loss_and_gradients
+from defectnet.model import (arch_preset, build, forward, loss_and_gradients,
+                             set_trainable)
 from defectnet.tensor import Tensor
 
 TRAIN_DIGESTS = {
@@ -40,6 +43,12 @@ TRAIN_DIGESTS = {
 VGG16_LOGITS_DIGEST = "ddd6c4c3cf84473b79bf98d499745573bf9f8b7517dbd906b96f85432df76d54"
 
 VGG16_GRADIENTS_DIGEST = "c404652897d184a084eb8bc86924ef5ab00d8e4f46e78318789ad43e6d284557"
+
+VGG16_FROZEN_GRADIENTS_DIGESTS = {
+    # freeze_blocks: the gradients of the trainable parameters only
+    1: "7e344bc0acc64cb9d72c739030ef9ee8aeb22ef5a8e892d578c0ed880208fc79",
+    2: "3b3f3cf1512e882750bddf451e20cb9e92b2ec372683b7d9b27a38346f658bcd",
+}
 
 
 def _train_digest(tmp_path, head: str, freeze_blocks: int) -> str:
@@ -77,8 +86,8 @@ def _vgg16_logits_digest() -> str:
     return hashlib.sha256(logits.tobytes()).hexdigest()
 
 
-def _vgg16_gradients_digest() -> str:
-    m = build(arch_preset("paper-vgg16", input_size=64), seed=0)
+def _vgg16_gradients_digest(freeze_blocks: int = 0) -> str:
+    m = set_trainable(build(arch_preset("paper-vgg16", input_size=64), seed=0), freeze_blocks)
     x = np.random.default_rng(0).uniform(0, 1, (2, 3, 64, 64)).astype(np.float32)
     _, probs, grads = loss_and_gradients(m, Tensor(x), [0, 3])
     h = hashlib.sha256()
@@ -94,6 +103,13 @@ def test_paper_vgg16_logits_match_golden_digest():
 
 def test_paper_vgg16_gradients_match_golden_digest():
     assert _vgg16_gradients_digest() == VGG16_GRADIENTS_DIGEST
+
+
+@pytest.mark.parametrize("freeze_blocks", sorted(VGG16_FROZEN_GRADIENTS_DIGESTS),
+                         ids=lambda k: f"freeze{k}")
+def test_paper_vgg16_frozen_gradients_match_golden_digest(freeze_blocks):
+    assert (_vgg16_gradients_digest(freeze_blocks)
+            == VGG16_FROZEN_GRADIENTS_DIGESTS[freeze_blocks])
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])
