@@ -15,10 +15,12 @@ conv GlobalAvgPool or Flatten does. build, replace_head, forward and
 loss_and_gradients all walk that list, and param_shapes reads the
 parameter names and shapes off it, so it is the one place that knows the
 order of layers and parameters. The backward's tape starts at the lowest
-layer with a trainable parameter. The feature layers below it, all of
-them in an untaped forward, run as inference one image at a time, so
-their memory does not grow with the batch; the layers above it and the
-head run on the whole batch. An untaped forward also takes the batch as
+layer with a trainable parameter. When that is a conv that does not pool,
+the tape keeps its input but not its output, a map as large as any of
+the step: the conv above runs it again in its own backward. The feature
+layers below the tape, all of them in an untaped forward, run as
+inference one image at a time, so their memory does not grow with the
+batch; the layers above it and the head run on the whole batch. An untaped forward also takes the batch as
 a sequence of CHW images, read as the walk reaches each, so evaluation
 builds no batch tensor; the head still runs once on the whole batch's
 final maps, since a one-row product need not have the bits of that row
@@ -35,6 +37,7 @@ import math
 import re
 from collections.abc import Iterable
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -169,7 +172,9 @@ class Conv(Layer):
     Its ctx keeps the input and, after a pool, the pool's mask, never the
     output: the layer above applies this ReLU's backward, as a conv masks
     its d_input with the sign of its input, the rectified output of the conv
-    below (GlobalAvgPool and Flatten do so for the last conv)."""
+    below (GlobalAvgPool and Flatten do so for the last conv). Above the
+    lowest conv of the tape, when that one does not pool, the input is a
+    recipe instead (see _walk), which the backward runs to get it back."""
 
     name: str
     in_ch: int
@@ -189,15 +194,21 @@ class Conv(Layer):
 
     def backward(self, ctx, dy, need_dx):
         """The pool's backward, then the conv's, with d_input if need_dx. dy
-        has this conv's ReLU backward applied; the input leaves ctx (a list)
-        straight into conv2d_backward, which frees it before the d_input
-        products, and the pooled dy goes once the pool's backward reads it."""
+        has this conv's ReLU backward applied; the pooled dy goes once the
+        pool's backward reads it. Only then is a recipe input run again,
+        and the input leaves ctx (a list) straight into conv2d_backward,
+        which frees it before the d_input products."""
         mask, cp = ctx.pop(), ctx.pop()
         if mask is not None:
             dy = nn.maxpool2d_backward(mask, dy)
             del mask
         return _param_grads(self.name, nn.conv2d_backward(
-            ctx.pop(), cp, dy, with_input=need_dx, relu=need_dx))
+            _rerun(ctx.pop()), cp, dy, with_input=need_dx, relu=need_dx))
+
+
+def _rerun(x) -> Tensor:
+    """A taped input, or the output of the recipe that stands for it."""
+    return x if isinstance(x, Tensor) else x()[0]
 
 
 @dataclass(frozen=True)
@@ -343,10 +354,22 @@ def _trains(model: Model, layer: Layer) -> bool:
 def _walk(model: Model, stack: list[Layer], x: Tensor, tape) -> Tensor:
     """Run the layers in order. A ctx is dropped once it is on the tape, or at
     once without one or below the lowest layer with a trainable parameter,
-    so an untaped layer frees its input as soon as its output exists."""
+    so an untaped layer frees its input as soon as its output exists.
+
+    The lowest conv of the tape, when it does not pool, writes a full-size
+    map as large as any of the step, which the tape would keep only as the
+    next conv's input. That conv's ctx keeps a recipe in its place, the
+    conv below and the input that its own ctx holds, so the map is freed
+    once the next conv's forward returns and is built again in that conv's
+    backward (Chen et al., arXiv:1604.06174, for one layer). The forward
+    is deterministic, so every gradient keeps its bits."""
     for layer in stack:
         x, ctx = layer.forward(model.params, x)
         if tape is not None and (tape or _trains(model, layer)):
+            if len(tape) == 1 and isinstance(layer, Conv):
+                below, below_ctx = tape[0]
+                if isinstance(below, Conv) and not below.pool:
+                    ctx[0] = partial(below.forward, model.params, below_ctx[0])
             tape.append((layer, ctx))
         del ctx
     return x
@@ -416,7 +439,10 @@ def loss_and_gradients(model: Model, batch: Tensor, targets) -> tuple[float, Ten
     parameter). The layers below the lowest trainable one run untaped, the
     feature layers one image at a time, and that one skips d_input; each
     (layer, ctx) leaves the tape as its backward runs, so an activation is
-    freed once no layer below still reads it."""
+    freed once no layer below still reads it. The output of the lowest
+    layer, when it is a conv that does not pool, is not taped at all: the
+    conv above builds it again from the taped input after its pool's
+    backward, so one conv forward is run twice."""
     tape: list = []
     probs = _run(model, batch, tape).probs
     loss = nn.cross_entropy(probs, targets)

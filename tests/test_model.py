@@ -600,6 +600,99 @@ class TestLossAndGradients:
         # activation for the input batch, the band's product and the gradients
         assert peak < 2 * act + act / 4 + max(bands) + act / 4
 
+    @pytest.mark.skipif(sys.version_info < (3, 11),
+                        reason="older CPython keeps a call's arguments alive in the caller")
+    @pytest.mark.parametrize("k", [0, 1], ids=["freeze0", "freeze1"])
+    def test_lowest_taped_conv_output_is_dead_until_the_backward_above(self, monkeypatch, k):
+        """The lowest conv of the tape does not pool here, so the tape drops
+        its output once the next conv's forward returns: the output is dead
+        in every layer's forward and backward that follows, until the next
+        conv's backward runs that conv again (a new array) for its input."""
+        import weakref
+        spec = ArchSpec(((2, 4), (2, 8)), GapHead(), num_classes=4, in_channels=3, input_size=8)
+        m = set_trainable(build(spec, seed=1), k)
+        names = {id(m.params[f"{n}.w"]): n for n in ("block1.conv1", "block1.conv2",
+                                                     "block2.conv1", "block2.conv2")}
+        low = f"block{k + 1}.conv1"
+        out, events = [], []
+
+        def watch(name, real):
+            def call(*args, **kwargs):
+                p = args[1] if name.startswith("conv") else None
+                event = (name, names[id(p.weights)] if p is not None else None)
+                if out:
+                    events.append((event, out[0]() is not None))
+                result = real(*args, **kwargs)
+                if event == ("conv2d_forward", low) and not out:
+                    out.append(weakref.ref(result.array))
+                return result
+            return call
+
+        for name in ("conv2d_forward", "conv2d_backward", "maxpool2d_backward",
+                     "global_avg_pool", "global_avg_pool_backward", "dense_forward",
+                     "dense_backward"):
+            monkeypatch.setattr(nn, name, watch(name, getattr(nn, name)))
+        x = Tensor(np.random.default_rng(4).uniform(0, 1, (2, 3, 8, 8)).astype(np.float32))
+        loss_and_gradients(m, x, [0, 1])
+        above = f"block{k + 1}.conv2"
+        assert events[0] == (("conv2d_forward", above), True)
+        assert not any(alive for _, alive in events[1:])
+        calls = [event for event, _ in events]
+        rerun = calls.index(("conv2d_forward", low), 1)
+        assert calls[rerun - 1 : rerun + 2] == [("maxpool2d_backward", None),
+                                                ("conv2d_forward", low),
+                                                ("conv2d_backward", above)]
+
+    @pytest.mark.parametrize("blocks,forwards", [
+        (((1, 8), (1, 16)), {"block1.conv1": 1, "block2.conv1": 1}),
+        (((2, 8), (1, 16)), {"block1.conv1": 2, "block1.conv2": 1, "block2.conv1": 1}),
+    ], ids=["low-pools", "low-no-pool"])
+    def test_only_a_lowest_conv_that_does_not_pool_runs_twice(self, monkeypatch, blocks,
+                                                              forwards):
+        """A step runs each conv's forward once, save the lowest conv of the
+        tape when it does not pool: the conv above runs it again in its
+        backward. A lowest conv that pools keeps only its quarter-size
+        output on the tape, so it is not run again."""
+        spec = ArchSpec(blocks, GapHead(), num_classes=4, in_channels=3, input_size=16)
+        m = build(spec, seed=1)
+        names = {id(t): n[:-2] for n, t in m.params.items() if n.endswith(".w")}
+        calls: dict[str, int] = {}
+        real_forward = nn.conv2d_forward
+
+        def conv_forward(x, p, **kwargs):
+            name = names[id(p.weights)]
+            calls[name] = calls.get(name, 0) + 1
+            return real_forward(x, p, **kwargs)
+
+        monkeypatch.setattr(nn, "conv2d_forward", conv_forward)
+        x = Tensor(np.random.default_rng(4).uniform(0, 1, (2, 3, 16, 16)).astype(np.float32))
+        loss_and_gradients(m, x, [0, 1])
+        assert calls == forwards
+
+    @pytest.mark.skipif(sys.version_info < (3, 11),
+                        reason="older CPython keeps a call's arguments alive in the caller")
+    def test_step_holds_no_lowest_conv_output_in_the_blocks_above(self, monkeypatch):
+        """The step peaks in block 2's backward. There it holds the input
+        batch, block 2's d_out at both sizes and its input, and three
+        quarters of the lowest conv's output, here an 8-channel 128 px map,
+        for the pool masks, the pool backward's temporaries and one band:
+        too little to hold that output as well."""
+        import tracemalloc
+        monkeypatch.setattr(nn, "CHUNK_BYTES", 64 << 10)
+        spec = ArchSpec(((2, 8), (1, 64)), GapHead(), num_classes=4, in_channels=3,
+                        input_size=128)
+        m = build(spec, seed=0)
+        x = Tensor(np.random.default_rng(7).uniform(0, 1, (2, 3, 128, 128)).astype(np.float32))
+        act = 2 * 8 * 128 * 128 * 4
+        d_out, pooled, block2_input = 2 * act, act / 2, act / 4
+        tracemalloc.start()
+        try:
+            loss_and_gradients(m, x, [0, 1])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < x.array.nbytes + d_out + pooled + block2_input + 3 * act / 4
+
     @pytest.mark.parametrize("head", [GapHead(), FcHead((3,))], ids=["gap", "fc"])
     def test_whole_model_gradient_matches_finite_differences(self, head):
         # end-to-end check through conv+relu+pool, then gap+dense or
