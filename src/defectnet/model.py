@@ -20,11 +20,11 @@ the tape keeps its input but not its output, a map as large as any of
 the step: the conv above runs it again in its own backward. The feature
 layers below the tape, all of them in an untaped forward, run as
 inference one image at a time, so their memory does not grow with the
-batch; the layers above it and the head run on the whole batch. An untaped forward also takes the batch as
-a sequence of CHW images, read as the walk reaches each, so evaluation
-builds no batch tensor; the head still runs once on the whole batch's
-final maps, since a one-row product need not have the bits of that row
-of the whole one.
+batch; the layers above it and the head run on the whole batch. An
+untaped forward also takes the batch as a sequence of CHW images, read
+as the walk reaches each, so evaluation builds no batch tensor; the head
+still runs once on the whole batch's final maps, since a one-row product
+need not have the bits of that row of the whole one.
 
 The default head is GAP -> single dense -> softmax, which serves both
 classification and class-activation mapping; a conventional FC head is
@@ -207,7 +207,8 @@ class Conv(Layer):
 
 
 def _rerun(x) -> Tensor:
-    """A taped input, or the output of the recipe that stands for it."""
+    """A taped input, or the output of the recipe that stands for it: a
+    call of its own, so that no name in Conv.backward holds the input."""
     return x if isinstance(x, Tensor) else x()[0]
 
 
@@ -397,11 +398,12 @@ def _one_image(image: Tensor, expect: tuple[int, int, int]) -> Tensor:
 
 def _run(model: Model, batch: Tensor | Iterable[Tensor], tape=None) -> ForwardTrace:
     """Forward pass; tapes (layer, ctx) from the lowest trainable layer up,
-    given a tape. The feature layers below that one (all of them without a
-    tape) run untaped on each image alone, and their outputs are
-    concatenated; the layers above and the head run on the whole batch. A
-    conv's bits do not depend on its band edges, so the outputs are those
-    of the whole batch.
+    given a tape; the output of that layer, if it is a conv that does not
+    pool, stands in the next ctx as a recipe (see _walk). The feature
+    layers below that one (all of them without a tape) run untaped on each
+    image alone, and their outputs are concatenated; the layers above and
+    the head run on the whole batch. A conv's bits do not depend on its
+    band edges, so the outputs are those of the whole batch.
 
     The batch is an NCHW tensor or a sequence of CHW images. A sequence is
     read one image at a time as the walk reaches it, so a generator that
