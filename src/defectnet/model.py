@@ -443,8 +443,8 @@ def loss_and_gradients(model: Model, batch: Tensor, targets) -> tuple[float, Ten
     (layer, ctx) leaves the tape as its backward runs, so an activation is
     freed once no layer below still reads it. The output of the lowest
     layer, when it is a conv that does not pool, is not taped at all: the
-    conv above builds it again from the taped input after its pool's
-    backward, so one conv forward is run twice."""
+    conv above builds it again from the taped input, after its pool's
+    backward if it pools, so one conv forward is run twice."""
     tape: list = []
     probs = _run(model, batch, tape).probs
     loss = nn.cross_entropy(probs, targets)
