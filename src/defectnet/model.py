@@ -172,9 +172,12 @@ class Conv(Layer):
     Its ctx keeps the input and, after a pool, the pool's mask, never the
     output: the layer above applies this ReLU's backward, as a conv masks
     its d_input with the sign of its input, the rectified output of the conv
-    below (GlobalAvgPool and Flatten do so for the last conv). Above the
-    lowest conv of the tape, when that one does not pool, the input is a
-    recipe instead (see _walk), which the backward runs to get it back."""
+    below (GlobalAvgPool and Flatten do so for the last conv). The backward
+    hands the pooled gradient and the mask to conv2d_backward, which runs
+    the pool's backward inside its band walks, so the full-size gradient of
+    this conv is not built either. Above the lowest conv of the tape, when
+    that one does not pool, the input is a recipe instead (see _walk), which
+    the backward runs to get it back."""
 
     name: str
     in_ch: int
@@ -193,17 +196,15 @@ class Conv(Layer):
         return y, [x, cp, mask]
 
     def backward(self, ctx, dy, need_dx):
-        """The pool's backward, then the conv's, with d_input if need_dx. dy
-        has this conv's ReLU backward applied; the pooled dy goes once the
-        pool's backward reads it. Only then is a recipe input run again,
-        and the input leaves ctx (a list) straight into conv2d_backward,
-        which frees it before the d_input products."""
+        """The conv's backward, with d_input if need_dx, and the pool's
+        inside it: dy has this conv's ReLU backward applied and, after a
+        pool, is the pooled gradient, which conv2d_backward unpools band by
+        band with the mask. A recipe input is run again first, while that
+        quarter-size dy is alive, and the input leaves ctx (a list) straight
+        into conv2d_backward, which frees it before the d_input products."""
         mask, cp = ctx.pop(), ctx.pop()
-        if mask is not None:
-            dy = nn.maxpool2d_backward(mask, dy)
-            del mask
         return _param_grads(self.name, nn.conv2d_backward(
-            _rerun(ctx.pop()), cp, dy, with_input=need_dx, relu=need_dx))
+            _rerun(ctx.pop()), cp, dy, with_input=need_dx, relu=need_dx, mask=mask))
 
 
 def _rerun(x) -> Tensor:
@@ -443,8 +444,9 @@ def loss_and_gradients(model: Model, batch: Tensor, targets) -> tuple[float, Ten
     (layer, ctx) leaves the tape as its backward runs, so an activation is
     freed once no layer below still reads it. The output of the lowest
     layer, when it is a conv that does not pool, is not taped at all: the
-    conv above builds it again from the taped input, after its pool's
-    backward if it pools, so one conv forward is run twice."""
+    conv above builds it again from the taped input, while only its own
+    incoming gradient (quarter-size if it pools) is alive, so one conv
+    forward is run twice."""
     tape: list = []
     probs = _run(model, batch, tape).probs
     loss = nn.cross_entropy(probs, targets)

@@ -22,10 +22,13 @@ kept as an oracle in the test suite) over the float64 patch matrix
 gathered from the (C, N, H, W) view of the unpadded input with virtual
 zero padding: no padded copy of an activation is built. One band walk,
 _patch_bands, yields that matrix, zero-padded to whole 16-column panels,
-in bands of patch columns; each band copies the in-range rectangle of
-every tap and zeroes the strips that fall in the padding. One
-correlation, _correlate, serves the forward and d_input, and each of its
-bands keeps the bits of the one whole product: d_input correlates the
+in bands of patch columns. In a stride-1 walk as wide as its input, which
+every model conv's walks are, each tap copies one run of flat pixels per
+image and channel, shifted by its offset, and zeroes the rows out of range
+and the columns that read across a row's edge; any other walk copies the
+in-range rectangle of every tap and zeroes the strips that fall in the
+padding. One correlation, _correlate, serves the forward and d_input, and
+each of its bands keeps the bits of the one whole product: d_input correlates the
 (O, N, oh, ow) view of d_out (zero-inserted between strides only when
 the stride exceeds 1), virtually padded by k-1-pad, with the flipped,
 transposed filters, and rounds once. d_w sums d_out @ cols.T over bands
@@ -36,13 +39,24 @@ or d_out's band) hold at most CHUNK_BYTES, so a non-pooled conv's d_w
 walks the edges of its forward.
 
 _correlate has one epilogue: each band's product lands in one reused
-float64 buffer and is rounded straight into the output, where the bias is
-added in place (d_input adds a zero bias, which turns -0.0 into +0.0).
+float64 buffer and is rounded to float32 and added to the bias in one pass
+into the output (d_input adds a zero bias, which turns -0.0 into +0.0).
 conv2d_forward can rectify the output there in place, and max-pool it
 first: a pooled forward's bands hold whole pairs of output rows (their
 edges fall on multiples of lcm(16, 2*ow)), each is rounded into a reused
 float32 band with its bias and pooled into the quarter-size output, so
 the full-size map is never built.
+
+The backward of such a conv runs the pool's backward inside its band
+walks in the same way (conv2d_backward's mask; Alwani et al., "Fused-Layer
+CNN Accelerators", MICRO 2016). It takes the pooled gradient, and each
+run of d_w's 1x1 walk of d_out and of d_input's correlation first
+unpools the whole pairs of rows that it reads, kernel halo included, into
+one small float32 region with the four strided writes of
+maxpool2d_backward. So the full-size gradient at the conv's output is
+not built, and d_w and d_input read the bands they read from it; only
+where d_input's correlation reads that gradient whole, as in one band, is
+it unpooled once, for both walks.
 """
 
 from __future__ import annotations
@@ -190,60 +204,156 @@ def _span(lo: int, hi: int, pad: int, tap: int, stride: int, size: int) -> tuple
     return a, max(min(hi, (size - 1 + pad - tap) // stride + 1), a)
 
 
-def _patch_bands(x: np.ndarray, pad, bands, kh, kw, stride, oh, ow):
+def _unpool(code: np.ndarray, d: np.ndarray, out: np.ndarray) -> None:
+    """The input gradient of a 2x2 max pool, whose output gradient is d and
+    whose winners are code, into out (twice d's last two sides): one
+    strided write per window position, which covers out."""
+    for k in range(4):
+        _select(code == k, d, out=out[..., k // 2 :: 2, k % 2 :: 2])
+
+
+def _runs(boxes, ow: int) -> list[tuple[int, tuple[int, int, int, int]]]:
+    """The boxes of a band as runs (offset in the band, (n0, n1, e0, e1)) of
+    the flat pixels [e0, e1) of each image of n0:n1: a box of whole images
+    is one run, and the boxes of one image join into one."""
+    runs: list = []
+    for off, (n0, n1, y0, y1, x0, x1) in boxes:
+        if runs and n1 - n0 == 1 and runs[-1][1][:2] == (n0, n1):
+            runs[-1] = runs[-1][0], runs[-1][1][:3] + ((y1 - 1) * ow + x1,)
+        else:
+            runs.append((off, (n0, n1, y0 * ow + x0, (y1 - 1) * ow + x1)))
+    return runs
+
+
+def _patch_bands(x: np.ndarray, pad, bands, kh, kw, stride, oh, ow, code=None):
     """Yield (boxes, cols) for each band (m0, m1) of bands, in order, of the
     float64 patch matrix of an unpadded (C, N, H, W) input, zero-padded by
     pad = (rows, columns); every band reuses one buffer. The boxes cover the
     band's real columns, and the columns past the last real one are zero.
-    Each band is filled tap (i, j) by tap, then box by box: the in-range
-    rectangle is copied, and the edge strips that would read the padding
-    are zeroed."""
+
+    A stride-1 walk as wide as its input, as every same-padded conv's and
+    d_w's 1x1 walk of d_out are, fills each run of the band (_runs) tap
+    (i, j) by tap: one copy of the run's flat pixels, shifted by
+    (i - ph) * W + j - pw within each input plane, over the rows in range,
+    then zeros for the rows out of range and for the columns that read
+    across a row's edge. Any other walk fills each box tap by tap: the
+    in-range rectangle is copied, and the edge strips that would read the
+    padding are zeroed.
+
+    With code, x is the output gradient of a 2x2 max pool and code its
+    winners, both (C, N, H/2, W/2), and the input, read by a stride-1 walk
+    as wide as it, is the pool's input gradient: each run first unpools
+    the whole pairs of rows it reads into one region that all runs reuse,
+    so that gradient is never built."""
     taps = kh * kw
     (c, n, h, w), (ph, pw) = x.shape, pad
+    if code is not None:
+        h, w = 2 * h, 2 * w
     k, m = c * taps, n * oh * ow
-    buf = np.empty(k * max(b - a for a, b in bands), dtype=np.float64)
-    for m0, m1 in bands:
+    flat = stride == 1 and ow == w
+
+    def units(m0, m1):
+        """A band's boxes, and the runs or boxes that fill it."""
         boxes = _boxes(m0, min(m1, m), oh, ow)
+        return boxes, _runs(boxes, ow) if flat else boxes
+
+    def reads(run) -> tuple[int, int]:
+        """The whole pairs of input rows [r0, r1) that a run reads."""
+        r0 = max(0, run[2] // ow - ph) // 2 * 2
+        r1 = min(h, (run[3] - 1) // ow - ph + kh)
+        return r0, max(r0, r1 + r1 % 2)
+
+    if code is not None:
+        size = 0
+        for m0, m1 in bands:
+            for _, run in units(m0, m1)[1]:
+                r0, r1 = reads(run)
+                size = max(size, (run[1] - run[0]) * (r1 - r0))
+        region = np.empty(c * size * w, dtype=np.float32)
+    buf = np.empty(k * max(b - a for a, b in bands), dtype=np.float64)
+    src, base = (x.reshape(c, n, h * w) if flat and code is None else x), (0, 0)
+    for m0, m1 in bands:
+        boxes, fills = units(m0, m1)
         cols = buf[: k * (m1 - m0)].reshape(k, m1 - m0)
         cols[:, m - m0 :] = 0
-        for t in range(taps):
-            i, j = divmod(t, kw)
-            for off, box in boxes:
-                n0, n1, y0, y1, x0, x1 = box
-                ya, yb = _span(y0, y1, ph, i, stride, h)
-                xa, xb = _span(x0, x1, pw, j, stride, w)
-                view = _band_view(cols[t::taps], off, box)
-                r, q = i - ph + stride * ya, j - pw + stride * xa
-                view[:, :, ya - y0 : yb - y0, xa - x0 : xb - x0] = x[
-                    :, n0:n1, r : r + stride * (yb - ya) : stride,
-                    q : q + stride * (xb - xa) : stride]
-                # The strips go after the copy, which has just brought their
-                # cache lines in: written first, a column strip cost about
-                # as much as the copy on a band larger than the L2 cache.
-                if ya > y0:
-                    view[:, :, : ya - y0] = 0
-                if yb < y1:
-                    view[:, :, yb - y0 :] = 0
-                if xa > x0:
-                    view[..., : xa - x0] = 0
-                if xb < x1:
-                    view[..., xb - x0 :] = 0
+        for off, unit in fills:
+            if code is not None:
+                (n0, n1), (r0, r1) = unit[:2], reads(unit)
+                # in the (N, C) order of the pool's arrays, which it writes fastest
+                rows = region[: c * (n1 - n0) * (r1 - r0) * w].reshape(
+                    n1 - n0, c, r1 - r0, w).transpose(1, 0, 2, 3)
+                _unpool(code[:, n0:n1, r0 // 2 : r1 // 2], x[:, n0:n1, r0 // 2 : r1 // 2], rows)
+                src, base = rows.reshape(c, n1 - n0, -1), (n0, r0)
+            if flat:
+                _fill_run(cols, off, unit, src, base, pad, kh, kw, h, w)
+            else:
+                _fill_box(cols, off, unit, x, pad, kh, kw, stride, h, w)
         yield boxes, cols
 
 
+def _fill_run(cols, off, run, src, base, pad, kh, kw, h, w):
+    """Fill a run's columns of a band from src (C, N, rows * W), which holds
+    the input's rows from base = (image, row) on."""
+    taps, (ph, pw) = kh * kw, pad
+    n0, n1, e0, e1 = run
+    size = src.shape[2]
+    for t in range(taps):
+        i, j = divmod(t, kw)
+        view = cols[t::taps, off : off + (n1 - n0) * (e1 - e0)].reshape(-1, n1 - n0, e1 - e0)
+        # flat pixel e reads src[..., e + s]; its row is in range for e in [a, b)
+        s = (i - ph - base[1]) * w + j - pw
+        a = min(max(e0, (ph - i) * w, -s), e1)
+        b = max(min(e1, (h + ph - i) * w, size - s), a)
+        view[..., a - e0 : b - e0] = src[:, n0 - base[0] : n1 - base[0], a + s : b + s]
+        # the zeros go after the copy, as _fill_box's strips do
+        if a > e0:
+            view[..., : a - e0] = 0
+        if b < e1:
+            view[..., b - e0 :] = 0
+        for col in (*range(min(w, pw - j)), *range(max(0, w + pw - j), w)):
+            view[..., (col - e0) % w :: w] = 0
+
+
+def _fill_box(cols, off, box, x, pad, kh, kw, stride, h, w):
+    """Fill a box's columns of a band from x (C, N, H, W)."""
+    taps, (ph, pw) = kh * kw, pad
+    n0, n1, y0, y1, x0, x1 = box
+    for t in range(taps):
+        i, j = divmod(t, kw)
+        ya, yb = _span(y0, y1, ph, i, stride, h)
+        xa, xb = _span(x0, x1, pw, j, stride, w)
+        view = _band_view(cols[t::taps], off, box)
+        r, q = i - ph + stride * ya, j - pw + stride * xa
+        view[:, :, ya - y0 : yb - y0, xa - x0 : xb - x0] = x[
+            :, n0:n1, r : r + stride * (yb - ya) : stride, q : q + stride * (xb - xa) : stride]
+        # The strips go after the copy, which has just brought their cache
+        # lines in: written first, a column strip cost about as much as the
+        # copy on a band larger than the L2 cache.
+        if ya > y0:
+            view[:, :, : ya - y0] = 0
+        if yb < y1:
+            view[:, :, yb - y0 :] = 0
+        if xa > x0:
+            view[..., : xa - x0] = 0
+        if xb < x1:
+            view[..., xb - x0 :] = 0
+
+
 def _correlate(x: np.ndarray, pad, w64: np.ndarray, bias, kh, kw, stride, oh, ow,
-               relu=False, pool=False, keep=None):
+               relu=False, pool=False, keep=None, code=None):
     """NCHW float32 out[n,o,y,x] = bias[o] + sum over c,i,j of
     x[c,n,y*stride+i-ph,x*stride+j-pw] * w64[o,(c,i,j)], zero outside a
     (C, N, H, W) input, for pad = (ph, pw): one _mm64 per band of the patch
-    matrix into one reused float64 buffer, rounded into the output, where
-    the bias is added in place.
+    matrix into one reused float64 buffer, rounded to float32 and added to
+    the bias in one pass into the output, a run of its flat pixels at a
+    time (_runs).
 
     With pool, each band holds whole pairs of output rows and is max-pooled
     as it is written, so only the quarter-size map is built; (pooled, winner
     codes) is returned. relu then rectifies the output in place. A bool
     keep of the output's shape zeroes the output where it is False, as
-    _select does, band by band (d_input through a ReLU).
+    _select does, band by band (d_input through a ReLU). With code, x is a
+    pool's output gradient, unpooled as _patch_bands reads it.
     """
     (c, n), o = x.shape[:2], len(w64)
     k, f = c * kh * kw, 2 if pool else 1
@@ -253,28 +363,30 @@ def _correlate(x: np.ndarray, pad, w64: np.ndarray, bias, kh, kw, stride, oh, ow
     product = np.empty(o * width)
     if pool:
         # the pool compares the rounded sums, so they go to a float32 band
-        code = np.empty(out.shape, dtype=np.uint8)
+        winner = np.empty(out.shape, dtype=np.uint8)
         conv = np.empty(o * width, dtype=np.float32)
-    for boxes, cols in _patch_bands(x, pad, bands, kh, kw, stride, oh, ow):
+    for boxes, cols in _patch_bands(x, pad, bands, kh, kw, stride, oh, ow, code):
         band = _mm64(w64, cols, out=product[: o * cols.shape[1]].reshape(o, -1))
         if pool:
             band = np.add(band, bias[:, None], out=conv[: band.size].reshape(band.shape),
                           dtype=np.float32)
-        for off, box in boxes:
-            n0, n1, y0, y1, x0, x1 = box
-            if pool:
+            for off, box in boxes:
+                n0, n1, y0, y1 = box[:4]
                 dst = out[n0:n1, :, y0 // 2 : y1 // 2]
                 _pool(_band_view(band, off, box), dst.transpose(1, 0, 2, 3),
-                      code[n0:n1, :, y0 // 2 : y1 // 2].transpose(1, 0, 2, 3))
-            else:
-                dst = out[n0:n1, :, y0:y1, x0:x1]
-                dst.transpose(1, 0, 2, 3)[...] = _band_view(band, off, box)
-                dst += bias[:, None, None]
+                      winner[n0:n1, :, y0 // 2 : y1 // 2].transpose(1, 0, 2, 3))
+                if relu:
+                    np.maximum(dst, np.float32(0.0), out=dst)
+        else:
+            for off, (n0, n1, e0, e1) in _runs(boxes, ow):
+                dst = out.reshape(n, o, -1)[n0:n1, :, e0:e1]
+                np.add(band[:, off : off + (n1 - n0) * (e1 - e0)].reshape(o, n1 - n0, -1),
+                       bias[:, None, None], out=dst.transpose(1, 0, 2), dtype=np.float32)
                 if keep is not None:
-                    _select(keep[n0:n1, :, y0:y1, x0:x1], dst, out=dst)
-            if relu:
-                np.maximum(dst, np.float32(0.0), out=dst)
-    return (out, code) if pool else out
+                    _select(keep.reshape(n, o, -1)[n0:n1, :, e0:e1], dst, out=dst)
+                if relu:
+                    np.maximum(dst, np.float32(0.0), out=dst)
+    return (out, winner) if pool else out
 
 
 def conv2d_forward(x: Tensor, p: ConvParams, relu=False,
@@ -300,7 +412,7 @@ def conv2d_forward(x: Tensor, p: ConvParams, relu=False,
 
 
 def conv2d_backward(x: Tensor, p: ConvParams, d_out: Tensor, with_input=True,
-                    relu=False) -> LayerGradients:
+                    relu=False, mask: PoolMask | None = None) -> LayerGradients:
     """Exact adjoint of conv2d_forward: weights, bias and, if with_input, input.
 
     relu says that x is the output of a ReLU: d_input is then the gradient
@@ -308,12 +420,39 @@ def conv2d_backward(x: Tensor, p: ConvParams, d_out: Tensor, with_input=True,
     gives it. x is let go once d_w and that mask are taken, so a caller
     that hands x over without keeping a name for it frees it before the
     d_input products run.
+
+    mask says that the conv's output was max-pooled (conv2d_forward's
+    pool) and d_out is the pooled gradient. The gradient at the conv's
+    output, maxpool2d_backward(mask, d_out), is then not built: each run
+    of d_w's and d_input's band walks unpools the rows it reads, with
+    d_input's kernel halo, into one small region. Where d_input's
+    correlation reads that gradient whole (in one band, spread by a stride
+    above 1, or by box where the conv is not same-padded), it is unpooled
+    once, for both walks. d_w and d_input have the bits of the unfused
+    backward.
+    d_bias sums d_out, whose values are the nonzero terms of that gradient,
+    so its float64 sum is grouped differently.
     """
     n, c, h, w, out_ch, kh, kw, oh, ow = _conv_geometry(x.shape, p)
-    if d_out.shape != (n, out_ch, oh, ow):
-        raise ShapeError(f"d_out shape {d_out.shape} != forward output ({n}, {out_ch}, {oh}, {ow})")
     s, pad = p.stride, p.padding
+    want = (n, out_ch) + ((oh, ow) if mask is None else (oh // 2, ow // 2))
+    if d_out.shape != want:
+        raise ShapeError(f"d_out shape {d_out.shape} != {want}")
+    if mask is not None and mask.input_shape != (n, out_ch, oh, ow):
+        raise ShapeError(f"pool input {mask.input_shape} != forward output "
+                         f"({n}, {out_ch}, {oh}, {ow})")
     d_bias = np.sum(d_out.array, axis=(0, 2, 3), dtype=np.float64).astype(np.float32)
+    code = None
+    if mask is not None:
+        code = mask.window_argmax.transpose(1, 0, 2, 3)
+        if (s > 1 or (oh, ow) != (h, w)
+                or (with_input and len(_bands(n * h * w, out_ch * kh * kw, c)) == 1)):
+            # d_input's correlation reads the whole gradient whole: spread at a
+            # stride above 1, by box where it is not same-padded, or in its
+            # one band; so it is built once, for both walks
+            full = np.empty((n, out_ch, oh, ow), dtype=np.float32)
+            _unpool(mask.window_argmax, d_out.array, full)
+            d_out, code = Tensor._wrap(full), None
 
     # d_w: d_out @ cols.T over bands of patch columns, summed in float64 in
     # ascending band order and rounded once; d_out's band is the 1x1 patch
@@ -325,7 +464,7 @@ def conv2d_backward(x: Tensor, p: ConvParams, d_out: Tensor, with_input=True,
     d_w = np.zeros((out_ch, k), dtype=np.float64)
     for (_, cols), (_, d_band) in zip(
             _patch_bands(x.array.transpose(1, 0, 2, 3), (pad, pad), bands, kh, kw, s, oh, ow),
-            _patch_bands(d_t, (0, 0), bands, 1, 1, 1, oh, ow)):
+            _patch_bands(d_t, (0, 0), bands, 1, 1, 1, oh, ow, code)):
         d_w += _mm64(d_band, cols.T, np.float64)
     del cols, d_band
     keep = x.array > 0 if relu and with_input else None
@@ -342,7 +481,7 @@ def conv2d_backward(x: Tensor, p: ConvParams, d_out: Tensor, with_input=True,
             dz[:, :, ::s, ::s] = d_t
         d_input = Tensor._wrap(_correlate(dz, (kh - 1 - pad, kw - 1 - pad), wt64,
                                           np.zeros(c, np.float32), kh, kw, 1, h, w,
-                                          keep=keep))
+                                          keep=keep, code=code))
     return LayerGradients(
         d_input=d_input,
         d_params={"weights": Tensor._wrap(d_w.astype(np.float32).reshape(out_ch, c, kh, kw)),
@@ -410,8 +549,7 @@ def maxpool2d_backward(mask: PoolMask, d_out: Tensor) -> Tensor:
     if d_out.shape != (n, c, oh, ow):
         raise ShapeError(f"d_out shape {d_out.shape} != pooled shape ({n}, {c}, {oh}, {ow})")
     d_in = np.empty((n, c, h, w), dtype=np.float32)
-    for k in range(4):
-        _select(mask.window_argmax == k, d_out.array, out=d_in[:, :, k // 2 :: 2, k % 2 :: 2])
+    _unpool(mask.window_argmax, d_out.array, d_in)
     return Tensor._wrap(d_in)
 
 

@@ -482,13 +482,13 @@ class TestLossAndGradients:
                         reason="older CPython keeps a call's arguments alive in the caller")
     def test_conv_backward_runs_without_the_output_or_its_gradient(self, monkeypatch):
         """A conv's output is the next layer's input, which that layer frees
-        in its own backward, and a pooled conv's incoming gradient is read
-        once, by the pool's backward: neither is alive while the conv's own
-        backward runs."""
+        in its own backward: it is not alive while the conv's own backward
+        runs. A pooled conv hands its pooled gradient and the pool's mask to
+        conv2d_backward, which unpools the gradient band by band: a step
+        never calls maxpool2d_backward."""
         import weakref
-        outputs, pooled, alive = {}, [], []
-        real_forward, real_pool_backward = nn.conv2d_forward, nn.maxpool2d_backward
-        real_conv_backward = nn.conv2d_backward
+        outputs, alive, pooled = {}, [], []
+        real_forward, real_conv_backward = nn.conv2d_forward, nn.conv2d_backward
 
         def conv2d_forward(x, p, **kwargs):
             out = real_forward(x, p, **kwargs)
@@ -497,14 +497,13 @@ class TestLossAndGradients:
             return out
 
         def maxpool2d_backward(mask, d_out):
-            pooled.append(weakref.ref(d_out.array))
-            return real_pool_backward(mask, d_out)
+            raise AssertionError("a step ran the pool's backward outside the conv's")
 
-        def conv2d_backward(*args, **kwargs):
-            refs = [outputs.pop(id(args[1].weights))] + pooled
-            pooled.clear()
-            alive.append([r() is not None for r in refs])
-            return real_conv_backward(*args, **kwargs)
+        def conv2d_backward(x, p, d_out, **kwargs):
+            alive.append(outputs.pop(id(p.weights))() is not None)
+            mask = kwargs.get("mask")
+            pooled.append(None if mask is None else (d_out.shape, mask.input_shape))
+            return real_conv_backward(x, p, d_out, **kwargs)
 
         monkeypatch.setattr(nn, "conv2d_forward", conv2d_forward)
         monkeypatch.setattr(nn, "maxpool2d_backward", maxpool2d_backward)
@@ -512,8 +511,9 @@ class TestLossAndGradients:
         spec = ArchSpec(((2, 4), (1, 8)), GapHead(), num_classes=4, in_channels=3, input_size=8)
         x = Tensor(np.random.default_rng(4).uniform(0, 1, (2, 3, 8, 8)).astype(np.float32))
         loss_and_gradients(build(spec, seed=1), x, [0, 1])
+        assert alive == [False, False, False]
         # block2.conv1 and block1.conv2 pool, block1.conv1 does not
-        assert alive == [[False, False], [False, False], [False]]
+        assert pooled == [((2, 8, 2, 2), (2, 8, 4, 4)), ((2, 4, 4, 4), (2, 4, 8, 8)), None]
 
     @pytest.mark.skipif(sys.version_info < (3, 11),
                         reason="older CPython keeps a call's arguments alive in the caller")
@@ -607,7 +607,9 @@ class TestLossAndGradients:
         """The lowest conv of the tape does not pool here, so the tape drops
         its output once the next conv's forward returns: the output is dead
         in every layer's forward and backward that follows, until the next
-        conv's backward runs that conv again (a new array) for its input."""
+        conv's backward runs that conv again (a new array) for its input,
+        right before conv2d_backward, which runs the pool's backward of the
+        conv above inside its band walks."""
         import weakref
         spec = ArchSpec(((2, 4), (2, 8)), GapHead(), num_classes=4, in_channels=3, input_size=8)
         m = set_trainable(build(spec, seed=1), k)
@@ -638,9 +640,8 @@ class TestLossAndGradients:
         assert not any(alive for _, alive in events[1:])
         calls = [event for event, _ in events]
         rerun = calls.index(("conv2d_forward", low), 1)
-        assert calls[rerun - 1 : rerun + 2] == [("maxpool2d_backward", None),
-                                                ("conv2d_forward", low),
-                                                ("conv2d_backward", above)]
+        assert calls[rerun : rerun + 2] == [("conv2d_forward", low), ("conv2d_backward", above)]
+        assert ("maxpool2d_backward", None) not in calls
 
     @pytest.mark.parametrize("blocks,forwards", [
         (((1, 8), (1, 16)), {"block1.conv1": 1, "block2.conv1": 1}),

@@ -544,9 +544,10 @@ class TestMaxPoolMatchesWindowReference:
         in nn, the centre tap of model.Conv's 3x3), its output equals a ReLU
         of the plain conv followed by the reference pool. model.Conv's ctx
         does not keep that output: the layer above applies the ReLU's
-        backward by its sign, and the gradient model.Conv then hands the
-        conv's backward equals the reference pool's backward masked by the
-        ReLU (np.where on the ReLU's output)."""
+        backward by its sign, and model.Conv hands the conv's backward that
+        pooled gradient with the pool's mask, whose pool backward equals the
+        reference pool's backward masked by the ReLU (np.where on the ReLU's
+        output)."""
         # the 3x3 filters' zero taps turn an infinite neighbour into NaN
         with np.errstate(invalid="ignore"):
             x, d = case
@@ -568,13 +569,14 @@ class TestMaxPoolMatchesWindowReference:
             seen = []
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(nn, "conv2d_backward",
-                           lambda x_, p_, d_out, **kw: seen.append(d_out) or nn.LayerGradients(
-                               None, {"weights": None, "bias": None}))
+                           lambda x_, p_, d_out, **kw: seen.append((d_out, kw["mask"]))
+                           or nn.LayerGradients(None, {"weights": None, "bias": None}))
                 dx, grads = layer.backward(ctx, nn.relu_backward(y, Tensor(d)), True)
             d_r = pool_ref.maxpool2d_backward(want_mask, Tensor(d)).array
             want_dx = np.where(r.array > 0, d_r, np.float32(0.0))
             assert dx is None and grads == {"c.w": None, "c.b": None}
-            assert seen[0].array.tobytes() == want_dx.tobytes()
+            d_pooled, mask = seen[0]
+            assert nn.maxpool2d_backward(mask, d_pooled).array.tobytes() == want_dx.tobytes()
 
     def test_ties_in_a_large_batch(self):
         # Seven levels over 16k values: most windows hold a tie.
