@@ -587,6 +587,98 @@ class TestMaxPoolMatchesWindowReference:
         self.assert_same_bits(x, d)
 
 
+def pooled_conv_case(n, c, o, oh, ow, k, pad, seed):
+    """(x, ConvParams, mask, d): a k x k conv, padded by pad, of n images
+    with c channels in and o out, whose 2 * oh x 2 * ow output was
+    max-pooled, and the pooled gradient d. The pool's input holds ties and
+    signed zeros, and so does d."""
+    rng = np.random.default_rng(seed)
+    h, w = 2 * oh + k - 1 - 2 * pad, 2 * ow + k - 1 - 2 * pad
+    x = t32(rng.normal(size=(n, c, h, w)))
+    p = nn.ConvParams(t32(rng.normal(size=(o, c, k, k))), t32(rng.normal(size=o)), padding=pad)
+    levels = np.array([-1.0, -0.0, 0.0, 1.0], np.float32)
+    _, mask = nn.maxpool2d_forward(Tensor(rng.choice(levels, size=(n, o, 2 * oh, 2 * ow))))
+    d = rng.normal(size=(n, o, oh, ow)).astype(np.float32)
+    d[rng.random(d.shape) < 0.25] = rng.choice([-0.0, 0.0])
+    return x, p, mask, Tensor(d)
+
+
+@st.composite
+def pooled_conv_cases(draw):
+    """pooled_conv_case over 1-3 images, 1-16 channels in and out and output
+    sides 2-32, h != w. Kernels 1, 3 and 5 are same-padded, as model.Conv
+    is; an unpadded 3x3 kernel reads a larger input."""
+    n, c, o = draw(st.integers(1, 3)), draw(st.integers(1, 16)), draw(st.integers(1, 16))
+    oh, ow = draw(st.tuples(st.integers(1, 16), st.integers(1, 16)).filter(lambda s: s[0] != s[1]))
+    k, pad = draw(st.sampled_from([(1, 0), (3, 1), (5, 2), (3, 0)]))
+    return pooled_conv_case(n, c, o, oh, ow, k, pad, draw(st.integers(0, 2 ** 16)))
+
+
+class TestPooledConvBackward:
+    """conv2d_backward given the pool's mask runs the pool's backward inside
+    its band walks, with the bits of maxpool2d_backward and then the conv's
+    backward."""
+
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(case=pooled_conv_cases(), with_input=st.booleans(), relu=st.booleans(),
+           chunk_bytes=st.sampled_from([None, 2048]))
+    # 2 KB bands of 480 columns: three in each 32 x 20 map
+    @example(case=pooled_conv_case(3, 16, 16, 16, 10, 3, 1, 0), with_input=True, relu=True,
+             chunk_bytes=2048)
+    def test_keeps_the_bits_of_the_pool_backward_then_the_conv_backward(
+            self, case, with_input, relu, chunk_bytes):
+        """d_w and d_input have the bytes of the unfused backward, and d_bias
+        is the float32 rounding of the pooled gradient's float64 sum. A 2 KB
+        cap splits the bands, inside an image where the products allow it."""
+        x, p, mask, d = case
+        if relu:
+            x = nn.relu(x)
+        with pytest.MonkeyPatch.context() as mp:
+            if chunk_bytes is not None:
+                mp.setattr(nn, "CHUNK_BYTES", chunk_bytes)
+            fused = nn.conv2d_backward(x, p, d, with_input, relu, mask=mask)
+            plain = nn.conv2d_backward(x, p, nn.maxpool2d_backward(mask, d), with_input, relu)
+        assert (fused.d_params["weights"].array.tobytes()
+                == plain.d_params["weights"].array.tobytes())
+        if with_input:
+            assert fused.d_input.array.tobytes() == plain.d_input.array.tobytes()
+        else:
+            assert fused.d_input is None
+        want_bias = np.sum(d.array, axis=(0, 2, 3), dtype=np.float64).astype(np.float32)
+        assert fused.d_params["bias"].array.tobytes() == want_bias.tobytes()
+
+
+    @pytest.mark.parametrize("relu", [False, True])
+    def test_holds_no_full_size_gradient(self, monkeypatch, relu):
+        """Beside its outputs and one band, the fused backward allocates less
+        than half of the full-size gradient at the conv's output, which the
+        unfused one, maxpool2d_backward and then the conv's backward, builds
+        whole: each band's rows are unpooled into a small region."""
+        monkeypatch.setattr(nn, "CHUNK_BYTES", 64 << 10)
+        x, w, b, _ = conv_case(0, 2, 16, 16, 96, 96, 3, 1, 1)
+        p = nn.ConvParams(t32(w), t32(b), padding=1)
+        x = nn.relu(t32(x)) if relu else t32(x)
+        _, mask = nn.conv2d_forward(x, p, pool=True)
+        d = t32(np.random.default_rng(1).normal(size=(2, 16, 48, 48)))
+        full = 2 * 16 * 96 * 96 * 4
+        band_bytes = 8 * 16 * 9 * max(m1 - m0 for m0, m1 in nn._bands(2 * 96 * 96, 16 * 9, 16))
+
+        def peak(run):
+            tracemalloc.start()
+            try:
+                grads = run()
+                outputs = sum(t.array.nbytes for t in [grads.d_input, *grads.d_params.values()])
+                return tracemalloc.get_traced_memory()[1] - outputs
+            finally:
+                tracemalloc.stop()
+
+        fused = peak(lambda: nn.conv2d_backward(x, p, d, relu=relu, mask=mask))
+        unfused = peak(lambda: nn.conv2d_backward(x, p, nn.maxpool2d_backward(mask, d), relu=relu))
+        # the relu's sign of the input is a bool quarter of it
+        bound = band_bytes + full / 4 * relu + full / 2
+        assert fused < bound < unfused
+
+
 class TestGlobalAvgPool:
     def test_mean_of_small_map(self):
         out = nn.global_avg_pool(t32([[[[1.0, 2.0], [3.0, 4.0]]]]))
