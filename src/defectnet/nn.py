@@ -28,15 +28,15 @@ image and channel, shifted by its offset, and zeroes the rows out of range
 and the columns that read across a row's edge; any other walk copies the
 in-range rectangle of every tap and zeroes the strips that fall in the
 padding. One correlation, _correlate, serves the forward and d_input, and
-each of its bands keeps the bits of the one whole product: d_input correlates the
-(O, N, oh, ow) view of d_out (zero-inserted between strides only when
-the stride exceeds 1), virtually padded by k-1-pad, with the flipped,
-transposed filters, and rounds once. d_w sums d_out @ cols.T over bands
-in float64 and rounds once, taking d_out's bands from the same walk as
-the 1x1 patch matrix of that view. One rule, _bands, sizes the bands of
-both: a band's K patch rows plus the O rows beside them (the product,
-or d_out's band) hold at most CHUNK_BYTES, so a non-pooled conv's d_w
-walks the edges of its forward.
+each of its bands keeps the bits of the one whole product: d_input
+correlates the (O, N, oh, ow) view of d_out (zero-inserted between
+strides only when the stride exceeds 1), virtually padded by k-1-pad,
+with the flipped, transposed filters, and rounds once. d_w sums
+d_out @ cols.T over bands in float64 and rounds once, taking d_out's
+bands from the same walk as the 1x1 patch matrix of that view. One
+rule, _bands, sizes the bands of both: a band's K patch rows plus the O
+rows beside them (the product, or d_out's band) hold at most
+CHUNK_BYTES, so a non-pooled conv's d_w walks the edges of its forward.
 
 _correlate has one epilogue: each band's product lands in one reused
 float64 buffer and is rounded to float32 and added to the bias in one pass
@@ -429,9 +429,8 @@ def conv2d_backward(x: Tensor, p: ConvParams, d_out: Tensor, with_input=True,
     correlation reads that gradient whole (in one band, spread by a stride
     above 1, or by box where the conv is not same-padded), it is unpooled
     once, for both walks. d_w and d_input have the bits of the unfused
-    backward.
-    d_bias sums d_out, whose values are the nonzero terms of that gradient,
-    so its float64 sum is grouped differently.
+    backward; d_bias sums d_out, whose values are the nonzero terms of that
+    gradient, so its float64 sum is grouped differently.
     """
     n, c, h, w, out_ch, kh, kw, oh, ow = _conv_geometry(x.shape, p)
     s, pad = p.stride, p.padding
