@@ -622,7 +622,7 @@ class TestPooledConvBackward:
     @settings(max_examples=120, deadline=None, derandomize=True)
     @given(case=pooled_conv_cases(), with_input=st.booleans(), relu=st.booleans(),
            chunk_bytes=st.sampled_from([None, 2048]))
-    # 2 KB bands of 480 columns: three in each 32 x 20 map
+    # 2 KB bands of 480 columns over three 32 x 20 maps: their edges fall inside maps
     @example(case=pooled_conv_case(3, 16, 16, 16, 10, 3, 1, 0), with_input=True, relu=True,
              chunk_bytes=2048)
     def test_keeps_the_bits_of_the_pool_backward_then_the_conv_backward(
@@ -646,7 +646,6 @@ class TestPooledConvBackward:
             assert fused.d_input is None
         want_bias = np.sum(d.array, axis=(0, 2, 3), dtype=np.float64).astype(np.float32)
         assert fused.d_params["bias"].array.tobytes() == want_bias.tobytes()
-
 
     @pytest.mark.parametrize("relu", [False, True])
     def test_holds_no_full_size_gradient(self, monkeypatch, relu):
