@@ -22,30 +22,32 @@ kept as an oracle in the test suite) over the float64 patch matrix
 gathered from the (C, N, H, W) view of the unpadded input with virtual
 zero padding: no padded copy of an activation is built. One band walk,
 _patch_bands, yields that matrix, zero-padded to whole 16-column panels,
-in bands of patch columns. In a stride-1 walk as wide as its input, which
-every model conv's walks are, each tap copies one run of flat pixels per
-image and channel, shifted by its offset, and zeroes the rows out of range
-and the columns that read across a row's edge; any other walk copies the
-in-range rectangle of every tap and zeroes the strips that fall in the
-padding. One correlation, _correlate, serves the forward and d_input, and
-each of its bands keeps the bits of the one whole product: d_input
-correlates the (O, N, oh, ow) view of d_out (zero-inserted between
-strides only when the stride exceeds 1), virtually padded by k-1-pad,
-with the flipped, transposed filters, and rounds once. d_w sums
-d_out @ cols.T over bands in float64 and rounds once, taking d_out's
-bands from the same walk as the 1x1 patch matrix of that view. One
-rule, _bands, sizes the bands of both: a band's K patch rows plus the O
-rows beside them (the product, or d_out's band) hold at most
-CHUNK_BYTES, so a non-pooled conv's d_w walks the edges of its forward.
+in bands of patch columns, each with its runs (_runs): whole images, or a
+stretch of one image's flat output pixels. In a flat walk, stride 1 and as
+wide as its input, which every model conv's walks are, each tap copies one
+run of flat pixels per image and channel, shifted by its offset, and zeroes
+the rows out of range and the columns that read across a row's edge. Any
+other walk bands on whole output rows (_align), so each tap copies the
+in-range rectangle of a run and zeroes the strips that fall in the padding.
 
-_correlate has one epilogue: each band's product lands in one reused
-float64 buffer and is rounded to float32 and added to the bias in one pass
-into the output (d_input adds a zero bias, which turns -0.0 into +0.0).
-conv2d_forward can rectify the output there in place, and max-pool it
-first: a pooled forward's bands hold whole pairs of output rows (their
-edges fall on multiples of lcm(16, 2*ow)), each is rounded into a reused
-float32 band with its bias and pooled into the quarter-size output, so
-the full-size map is never built.
+One correlation, _correlate, serves the forward and d_input, and each of
+its bands keeps the bits of the one whole product: d_input correlates the
+(O, N, oh, ow) view of d_out (zero-inserted between strides only when the
+stride exceeds 1), virtually padded by k-1-pad, with the flipped,
+transposed filters, and rounds once. d_w sums d_out @ cols.T over bands in
+float64 and rounds once, taking d_out's bands from the same walk as the
+1x1 patch matrix of that view. One rule, _bands, sizes the bands of both:
+a band's K patch rows plus the O rows beside them (the product, or d_out's
+band) hold at most CHUNK_BYTES, so a non-pooled conv's d_w walks the edges
+of its forward.
+
+_correlate has one epilogue, run by run: each band's product lands in one
+reused float64 buffer and is rounded to float32 and added to the bias in
+one pass into the output (d_input adds a zero bias, which turns -0.0 into
++0.0). conv2d_forward can rectify the output there in place, and max-pool
+it first: a pooled forward's runs hold whole pairs of output rows, each
+band is rounded into a reused float32 band with its bias and each run is
+pooled into the quarter-size output, so the full-size map is never built.
 
 The backward of such a conv runs the pool's backward inside its band
 walks in the same way (conv2d_backward's mask; Alwani et al., "Fused-Layer
@@ -54,9 +56,8 @@ run of d_w's 1x1 walk of d_out and of d_input's correlation first
 unpools the whole pairs of rows that it reads, kernel halo included, into
 one small float32 region with the four strided writes of
 maxpool2d_backward. So the full-size gradient at the conv's output is
-not built, and d_w and d_input read the bands they read from it; only
-where d_input's correlation reads that gradient whole, as in one band, is
-it unpooled once, for both walks.
+not built; only a conv whose walks are not flat builds it, with
+maxpool2d_backward, once for both walks.
 """
 
 from __future__ import annotations
@@ -169,32 +170,30 @@ def _bands(length: int, k: int, o: int, align: int = 1) -> list[tuple[int, int]]
     return list(zip(edges[:-1], edges[1:]))
 
 
-def _boxes(m0: int, m1: int, oh: int, ow: int) -> list[tuple[int, tuple[int, ...]]]:
-    """Cover patch columns [m0, m1), in (n, y, x) order, with boxes
-    (offset in the band, (n0, n1, y0, y1, x0, x1)): each box is a run of
-    whole images, of whole rows of one image, or part of one row."""
-    boxes = []
+def _align(stride: int, w: int, ow: int, pool: bool = False) -> int:
+    """The multiple of patch columns on which a walk's inner band edges fall:
+    2 * ow for a pooled output, whose runs then hold whole pairs of output
+    rows; 1 for a flat walk (stride 1, and ow equal to the input's width
+    w), whose runs may start and end inside a row; else ow, whole rows."""
+    if pool:
+        return 2 * ow
+    return 1 if stride == 1 and ow == w else ow
+
+
+def _runs(m0: int, m1: int, plane: int) -> list[tuple[int, tuple[int, int, int, int]]]:
+    """Cover patch columns [m0, m1), in (n, y, x) order with plane columns an
+    image, with runs (offset in the band, (n0, n1, e0, e1)) of the flat
+    pixels [e0, e1) of each image of n0:n1: whole images, or a stretch of
+    one image."""
+    runs = []
     m = m0
     while m < m1:
-        left = m1 - m
-        n, rest = divmod(m, oh * ow)
-        y, x = divmod(rest, ow)
-        if x or left < ow:
-            images, rows, cols = 1, 1, min(ow - x, left)
-        elif y or left < oh * ow:
-            images, rows, cols = 1, min(oh - y, left // ow), ow
-        else:
-            images, rows, cols = left // (oh * ow), oh, ow
-        boxes.append((m - m0, (n, n + images, y, y + rows, x, x + cols)))
-        m += images * rows * cols
-    return boxes
-
-
-def _band_view(band: np.ndarray, off: int, box) -> np.ndarray:
-    """A box's columns of a [rows x width] band, shaped (rows, n, y, x)."""
-    n0, n1, y0, y1, x0, x1 = box
-    return band[:, off : off + (n1 - n0) * (y1 - y0) * (x1 - x0)].reshape(
-        band.shape[0], n1 - n0, y1 - y0, x1 - x0)
+        n, e = divmod(m, plane)
+        images = max(1, (m1 - m) // plane) if e == 0 else 1
+        e1 = min(plane, e + m1 - m)
+        runs.append((m - m0, (n, n + images, e, e1)))
+        m += images * (e1 - e)
+    return runs
 
 
 def _span(lo: int, hi: int, pad: int, tap: int, stride: int, size: int) -> tuple[int, int]:
@@ -212,50 +211,34 @@ def _unpool(code: np.ndarray, d: np.ndarray, out: np.ndarray) -> None:
         _select(code == k, d, out=out[..., k // 2 :: 2, k % 2 :: 2])
 
 
-def _runs(boxes, ow: int) -> list[tuple[int, tuple[int, int, int, int]]]:
-    """The boxes of a band as runs (offset in the band, (n0, n1, e0, e1)) of
-    the flat pixels [e0, e1) of each image of n0:n1: a box of whole images
-    is one run, and the boxes of one image join into one."""
-    runs: list = []
-    for off, (n0, n1, y0, y1, x0, x1) in boxes:
-        if runs and n1 - n0 == 1 and runs[-1][1][:2] == (n0, n1):
-            runs[-1] = runs[-1][0], runs[-1][1][:3] + ((y1 - 1) * ow + x1,)
-        else:
-            runs.append((off, (n0, n1, y0 * ow + x0, (y1 - 1) * ow + x1)))
-    return runs
-
-
 def _patch_bands(x: np.ndarray, pad, bands, kh, kw, stride, oh, ow, code=None):
-    """Yield (boxes, cols) for each band (m0, m1) of bands, in order, of the
+    """Yield (runs, cols) for each band (m0, m1) of bands, in order, of the
     float64 patch matrix of an unpadded (C, N, H, W) input, zero-padded by
-    pad = (rows, columns); every band reuses one buffer. The boxes cover the
-    band's real columns, and the columns past the last real one are zero.
+    pad = (rows, columns); every band reuses one buffer. The runs (_runs)
+    cover the band's real columns, and the columns past the last real one
+    are zero.
 
-    A stride-1 walk as wide as its input, as every same-padded conv's and
-    d_w's 1x1 walk of d_out are, fills each run of the band (_runs) tap
-    (i, j) by tap: one copy of the run's flat pixels, shifted by
-    (i - ph) * W + j - pw within each input plane, over the rows in range,
-    then zeros for the rows out of range and for the columns that read
-    across a row's edge. Any other walk fills each box tap by tap: the
-    in-range rectangle is copied, and the edge strips that would read the
-    padding are zeroed.
+    A flat walk (stride 1, as wide as its input), as every same-padded
+    conv's and d_w's 1x1 walk of d_out are, fills each run tap (i, j) by
+    tap: one copy of the run's flat pixels, shifted by (i - ph) * W + j - pw
+    within each input plane, over the rows in range, then zeros for the rows
+    out of range and for the columns that read across a row's edge. Any
+    other walk's bands hold whole output rows (_align), and each run is
+    filled tap by tap as a rectangle of them: the in-range part is copied,
+    and the edge strips that would read the padding are zeroed.
 
     With code, x is the output gradient of a 2x2 max pool and code its
-    winners, both (C, N, H/2, W/2), and the input, read by a stride-1 walk
-    as wide as it, is the pool's input gradient: each run first unpools
-    the whole pairs of rows it reads into one region that all runs reuse,
-    so that gradient is never built."""
+    winners, both (C, N, H/2, W/2), and the input, read by a flat walk, is
+    the pool's input gradient: each run first unpools the whole pairs of
+    rows it reads into one region that all runs reuse, so that gradient is
+    never built."""
     taps = kh * kw
     (c, n, h, w), (ph, pw) = x.shape, pad
     if code is not None:
         h, w = 2 * h, 2 * w
     k, m = c * taps, n * oh * ow
     flat = stride == 1 and ow == w
-
-    def units(m0, m1):
-        """A band's boxes, and the runs or boxes that fill it."""
-        boxes = _boxes(m0, min(m1, m), oh, ow)
-        return boxes, _runs(boxes, ow) if flat else boxes
+    runs = [_runs(m0, min(m1, m), oh * ow) for m0, m1 in bands]
 
     def reads(run) -> tuple[int, int]:
         """The whole pairs of input rows [r0, r1) that a run reads."""
@@ -265,30 +248,29 @@ def _patch_bands(x: np.ndarray, pad, bands, kh, kw, stride, oh, ow, code=None):
 
     if code is not None:
         size = 0
-        for m0, m1 in bands:
-            for _, run in units(m0, m1)[1]:
+        for band in runs:
+            for _, run in band:
                 r0, r1 = reads(run)
                 size = max(size, (run[1] - run[0]) * (r1 - r0))
         region = np.empty(c * size * w, dtype=np.float32)
     buf = np.empty(k * max(b - a for a, b in bands), dtype=np.float64)
     src, base = (x.reshape(c, n, h * w) if flat and code is None else x), (0, 0)
-    for m0, m1 in bands:
-        boxes, fills = units(m0, m1)
+    for (m0, m1), band in zip(bands, runs):
         cols = buf[: k * (m1 - m0)].reshape(k, m1 - m0)
         cols[:, m - m0 :] = 0
-        for off, unit in fills:
+        for off, run in band:
             if code is not None:
-                (n0, n1), (r0, r1) = unit[:2], reads(unit)
+                (n0, n1), (r0, r1) = run[:2], reads(run)
                 # in the (N, C) order of the pool's arrays, which it writes fastest
                 rows = region[: c * (n1 - n0) * (r1 - r0) * w].reshape(
                     n1 - n0, c, r1 - r0, w).transpose(1, 0, 2, 3)
                 _unpool(code[:, n0:n1, r0 // 2 : r1 // 2], x[:, n0:n1, r0 // 2 : r1 // 2], rows)
                 src, base = rows.reshape(c, n1 - n0, -1), (n0, r0)
             if flat:
-                _fill_run(cols, off, unit, src, base, pad, kh, kw, h, w)
+                _fill_run(cols, off, run, src, base, pad, kh, kw, h, w)
             else:
-                _fill_box(cols, off, unit, x, pad, kh, kw, stride, h, w)
-        yield boxes, cols
+                _fill_rows(cols, off, run, x, pad, kh, kw, stride, h, w, ow)
+        yield band, cols
 
 
 def _fill_run(cols, off, run, src, base, pad, kh, kw, h, w):
@@ -305,7 +287,7 @@ def _fill_run(cols, off, run, src, base, pad, kh, kw, h, w):
         a = min(max(e0, (ph - i) * w, -s), e1)
         b = max(min(e1, (h + ph - i) * w, size - s), a)
         view[..., a - e0 : b - e0] = src[:, n0 - base[0] : n1 - base[0], a + s : b + s]
-        # the zeros go after the copy, as _fill_box's strips do
+        # the zeros go after the copy, as _fill_rows's strips do
         if a > e0:
             view[..., : a - e0] = 0
         if b < e1:
@@ -314,17 +296,18 @@ def _fill_run(cols, off, run, src, base, pad, kh, kw, h, w):
             view[..., (col - e0) % w :: w] = 0
 
 
-def _fill_box(cols, off, box, x, pad, kh, kw, stride, h, w):
-    """Fill a box's columns of a band from x (C, N, H, W)."""
+def _fill_rows(cols, off, run, x, pad, kh, kw, stride, h, w, ow):
+    """Fill a run of whole output rows of a band from x (C, N, H, W)."""
     taps, (ph, pw) = kh * kw, pad
-    n0, n1, y0, y1, x0, x1 = box
+    n0, n1, e0, e1 = run
+    y0, y1 = e0 // ow, e1 // ow
     for t in range(taps):
         i, j = divmod(t, kw)
         ya, yb = _span(y0, y1, ph, i, stride, h)
-        xa, xb = _span(x0, x1, pw, j, stride, w)
-        view = _band_view(cols[t::taps], off, box)
+        xa, xb = _span(0, ow, pw, j, stride, w)
+        view = cols[t::taps, off : off + (n1 - n0) * (e1 - e0)].reshape(-1, n1 - n0, y1 - y0, ow)
         r, q = i - ph + stride * ya, j - pw + stride * xa
-        view[:, :, ya - y0 : yb - y0, xa - x0 : xb - x0] = x[
+        view[:, :, ya - y0 : yb - y0, xa:xb] = x[
             :, n0:n1, r : r + stride * (yb - ya) : stride, q : q + stride * (xb - xa) : stride]
         # The strips go after the copy, which has just brought their cache
         # lines in: written first, a column strip cost about as much as the
@@ -333,10 +316,10 @@ def _fill_box(cols, off, box, x, pad, kh, kw, stride, h, w):
             view[:, :, : ya - y0] = 0
         if yb < y1:
             view[:, :, yb - y0 :] = 0
-        if xa > x0:
-            view[..., : xa - x0] = 0
-        if xb < x1:
-            view[..., xb - x0 :] = 0
+        if xa > 0:
+            view[..., :xa] = 0
+        if xb < ow:
+            view[..., xb:] = 0
 
 
 def _correlate(x: np.ndarray, pad, w64: np.ndarray, bias, kh, kw, stride, oh, ow,
@@ -344,20 +327,23 @@ def _correlate(x: np.ndarray, pad, w64: np.ndarray, bias, kh, kw, stride, oh, ow
     """NCHW float32 out[n,o,y,x] = bias[o] + sum over c,i,j of
     x[c,n,y*stride+i-ph,x*stride+j-pw] * w64[o,(c,i,j)], zero outside a
     (C, N, H, W) input, for pad = (ph, pw): one _mm64 per band of the patch
-    matrix into one reused float64 buffer, rounded to float32 and added to
-    the bias in one pass into the output, a run of its flat pixels at a
-    time (_runs).
+    matrix into one reused float64 buffer, then one epilogue per run of the
+    band (_runs), which rounds it to float32 and adds the bias into the
+    output.
 
-    With pool, each band holds whole pairs of output rows and is max-pooled
-    as it is written, so only the quarter-size map is built; (pooled, winner
-    codes) is returned. relu then rectifies the output in place. A bool
-    keep of the output's shape zeroes the output where it is False, as
-    _select does, band by band (d_input through a ReLU). With code, x is a
-    pool's output gradient, unpooled as _patch_bands reads it.
+    With pool, whose runs hold whole pairs of output rows (_align), a band
+    is rounded with its bias into a reused float32 band, and each run is
+    max-pooled from it into the quarter-size output, the only map built;
+    (pooled, winner codes) is returned. relu then rectifies each run's
+    output in place. A bool keep of the output's shape zeroes the output
+    where it is False, as _select does, run by run (d_input through a
+    ReLU). With code, x is a pool's output gradient, unpooled as
+    _patch_bands reads it.
     """
     (c, n), o = x.shape[:2], len(w64)
     k, f = c * kh * kw, 2 if pool else 1
-    bands = _bands(n * oh * ow, k, o, 2 * ow if pool else 1)
+    w = x.shape[3] if code is None else 2 * x.shape[3]
+    bands = _bands(n * oh * ow, k, o, _align(stride, w, ow, pool))
     out = np.empty((n, o, oh // f, ow // f), dtype=np.float32)
     width = max(b - a for a, b in bands)
     product = np.empty(o * width)
@@ -365,27 +351,25 @@ def _correlate(x: np.ndarray, pad, w64: np.ndarray, bias, kh, kw, stride, oh, ow
         # the pool compares the rounded sums, so they go to a float32 band
         winner = np.empty(out.shape, dtype=np.uint8)
         conv = np.empty(o * width, dtype=np.float32)
-    for boxes, cols in _patch_bands(x, pad, bands, kh, kw, stride, oh, ow, code):
+    for runs, cols in _patch_bands(x, pad, bands, kh, kw, stride, oh, ow, code):
         band = _mm64(w64, cols, out=product[: o * cols.shape[1]].reshape(o, -1))
         if pool:
             band = np.add(band, bias[:, None], out=conv[: band.size].reshape(band.shape),
                           dtype=np.float32)
-            for off, box in boxes:
-                n0, n1, y0, y1 = box[:4]
-                dst = out[n0:n1, :, y0 // 2 : y1 // 2]
-                _pool(_band_view(band, off, box), dst.transpose(1, 0, 2, 3),
-                      winner[n0:n1, :, y0 // 2 : y1 // 2].transpose(1, 0, 2, 3))
-                if relu:
-                    np.maximum(dst, np.float32(0.0), out=dst)
-        else:
-            for off, (n0, n1, e0, e1) in _runs(boxes, ow):
+        for off, (n0, n1, e0, e1) in runs:
+            src = band[:, off : off + (n1 - n0) * (e1 - e0)].reshape(o, n1 - n0, -1)
+            if pool:
+                y0, y1 = e0 // (2 * ow), e1 // (2 * ow)
+                dst = out[n0:n1, :, y0:y1]
+                _pool(src.reshape(o, n1 - n0, -1, ow), dst.transpose(1, 0, 2, 3),
+                      winner[n0:n1, :, y0:y1].transpose(1, 0, 2, 3))
+            else:
                 dst = out.reshape(n, o, -1)[n0:n1, :, e0:e1]
-                np.add(band[:, off : off + (n1 - n0) * (e1 - e0)].reshape(o, n1 - n0, -1),
-                       bias[:, None, None], out=dst.transpose(1, 0, 2), dtype=np.float32)
+                np.add(src, bias[:, None, None], out=dst.transpose(1, 0, 2), dtype=np.float32)
                 if keep is not None:
                     _select(keep.reshape(n, o, -1)[n0:n1, :, e0:e1], dst, out=dst)
-                if relu:
-                    np.maximum(dst, np.float32(0.0), out=dst)
+            if relu:
+                np.maximum(dst, np.float32(0.0), out=dst)
     return (out, winner) if pool else out
 
 
@@ -425,12 +409,11 @@ def conv2d_backward(x: Tensor, p: ConvParams, d_out: Tensor, with_input=True,
     pool) and d_out is the pooled gradient. The gradient at the conv's
     output, maxpool2d_backward(mask, d_out), is then not built: each run
     of d_w's and d_input's band walks unpools the rows it reads, with
-    d_input's kernel halo, into one small region. Where d_input's
-    correlation reads that gradient whole (in one band, spread by a stride
-    above 1, or by box where the conv is not same-padded), it is unpooled
-    once, for both walks. d_w and d_input have the bits of the unfused
-    backward; d_bias sums d_out, whose values are the nonzero terms of that
-    gradient, so its float64 sum is grouped differently.
+    d_input's kernel halo, into one small region. Only a conv whose walks
+    are not flat (a stride above 1, or an output not as wide as its input)
+    builds it, once, for both walks. d_w and d_input have the bits of the
+    unfused backward; d_bias sums d_out, whose values are the nonzero terms
+    of that gradient, so its float64 sum is grouped differently.
     """
     n, c, h, w, out_ch, kh, kw, oh, ow = _conv_geometry(x.shape, p)
     s, pad = p.stride, p.padding
@@ -444,14 +427,10 @@ def conv2d_backward(x: Tensor, p: ConvParams, d_out: Tensor, with_input=True,
     code = None
     if mask is not None:
         code = mask.window_argmax.transpose(1, 0, 2, 3)
-        if (s > 1 or (oh, ow) != (h, w)
-                or (with_input and len(_bands(n * h * w, out_ch * kh * kw, c)) == 1)):
-            # d_input's correlation reads the whole gradient whole: spread at a
-            # stride above 1, by box where it is not same-padded, or in its
-            # one band; so it is built once, for both walks
-            full = np.empty((n, out_ch, oh, ow), dtype=np.float32)
-            _unpool(mask.window_argmax, d_out.array, full)
-            d_out, code = Tensor._wrap(full), None
+        if s > 1 or ow != w:
+            # d_input's walk is not flat: it spreads the gradient at a stride
+            # above 1, or reads it by whole rows, so it is built once
+            d_out, code = maxpool2d_backward(mask, d_out), None
 
     # d_w: d_out @ cols.T over bands of patch columns, summed in float64 in
     # ascending band order and rounded once; d_out's band is the 1x1 patch
@@ -459,7 +438,7 @@ def conv2d_backward(x: Tensor, p: ConvParams, d_out: Tensor, with_input=True,
     # rows and its O d_out rows share the cap, as in a correlation.
     d_t = d_out.array.transpose(1, 0, 2, 3)
     k = c * kh * kw
-    bands = _bands(n * oh * ow, k, out_ch)
+    bands = _bands(n * oh * ow, k, out_ch, _align(s, w, ow))
     d_w = np.zeros((out_ch, k), dtype=np.float64)
     for (_, cols), (_, d_band) in zip(
             _patch_bands(x.array.transpose(1, 0, 2, 3), (pad, pad), bands, kh, kw, s, oh, ow),

@@ -6,7 +6,8 @@ Frozen parameters are never touched: they stay bitwise equal to their
 pre-training values, as does their velocity. Runs are deterministic
 given (model, data, config): batch order reshuffles from a per-epoch
 seed and each sample's augmentation draws from its own derived stream.
-A training batch is converted into one preallocated float32 array.
+A training batch is converted into one preallocated float32 array; a
+batch_size whose array cannot be allocated is refused before the first step.
 Evaluation and validation build no batch: each image is read and
 converted as the model's per-image walk reaches it, and the head runs
 once per group of batch_size images.
@@ -24,7 +25,7 @@ import numpy as np
 from . import model as model_mod
 from . import nn
 from .data import AugmentParams, LabeledDataset, RasterImage, augment, image_to_tensor
-from .errors import DatasetError, DivergenceError, ShapeError
+from .errors import ConfigError, DatasetError, DivergenceError, ShapeError
 from .labels import LABEL_NAMES
 from .metrics import ConfusionMatrix
 from .model import Model
@@ -181,6 +182,13 @@ def train(model: Model, train_ds: LabeledDataset, val_ds: LabeledDataset,
     if cfg.epochs == 0:
         return model, history
     velocity = {name: Tensor.zeros(t.shape) for name, t in model.params.items()}
+    size = model.spec.input_size
+    try:
+        # the batch's array, tried before _batches builds a list that long
+        np.empty((cfg.batch_size, 3, size, size), dtype=np.float32)
+    except MemoryError:
+        raise ConfigError(f"batch_size = {cfg.batch_size}: a batch of {size}x{size} images "
+                          "does not fit in memory") from None
     for epoch in range(cfg.epochs):
         rng = np.random.default_rng((cfg.seed, epoch))
         loss_sum = 0.0
@@ -188,7 +196,7 @@ def train(model: Model, train_ds: LabeledDataset, val_ds: LabeledDataset,
         correct = 0
         for step, idxs in enumerate(_batches(len(train_ds), cfg.batch_size,
                                              cfg.steps_per_epoch, rng)):
-            batch, targets = _stack_batch(train_ds, idxs, model.spec.input_size, aug, epoch, step)
+            batch, targets = _stack_batch(train_ds, idxs, size, aug, epoch, step)
             # overflow is caught by the check below, not warned about
             with np.errstate(over="ignore", invalid="ignore"):
                 loss, probs, grads = model_mod.loss_and_gradients(model, batch, targets)

@@ -315,3 +315,17 @@ def test_diverging_train_exits_3_and_writes_nothing(work):
                     steps_per_epoch=3, learning_rate=1e30)
     assert one_error_line(argv) == "3 error: training diverged at epoch 1, step 2: the loss is nan"
     assert not (work / "run").exists()
+
+
+def test_oversized_batch_exits_2_at_once(work):
+    # a batch of 10**9 16-px images, 3 TB of float32, is refused before the
+    # first step builds its list of 10**9 indices
+    rng = np.random.default_rng(0)
+    write_tree(work / "textures", {name: [texture_image(k, SIZE, rng) for _ in range(4)]
+                                   for k, name in enumerate(LABEL_NAMES)})
+    shutil.rmtree(work / "run", ignore_errors=True)
+    argv = train_on(work, work / "textures", input_size=SIZE, batch_size=10 ** 9)
+    assert one_error_line(argv) == (
+        "2 config error: batch_size = 1000000000: a batch of 16x16 images "
+        "does not fit in memory")
+    assert not (work / "run").exists()

@@ -186,6 +186,10 @@ class TestConvMatchesWholeMatrixReference:
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(case=BANDED_SHAPES, chunk_bytes=st.sampled_from([None, 2048, 8192]),
            seed=st.integers(0, 2 ** 16))
+    # walks that are not flat, 10 and 12 pixels wide: under a 2 KB cap their
+    # bands of whole rows split the image, in the forward and in d_w
+    @example(case=(1, 32, 32, 120, 20, 3, 2, 1), chunk_bytes=2048, seed=0)
+    @example(case=(1, 32, 32, 42, 14, 3, 1, 0), chunk_bytes=2048, seed=0)
     def test_bit_identical(self, case, chunk_bytes, seed):
         got, want = conv_both_ways(case, seed, chunk_bytes)
         assert conv_bytes(*got) == conv_bytes(*want)
@@ -281,6 +285,31 @@ def test_bands_keep_the_float64_bits_of_the_whole_product(o, k, length, chunk_by
     whole = w @ cols
     for a, b in col_bands:
         assert np.array_equal(w @ np.ascontiguousarray(cols[:, a:b]), whole[:, a:b])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(oh=st.integers(1, 12), ow=st.integers(1, 12), n=st.integers(1, 4),
+       cuts=st.lists(st.integers(0, 10 ** 4), max_size=4), pairs=st.booleans())
+def test_runs_tile_a_band_in_whole_images_or_stretches_of_one(oh, ow, n, cuts, pairs):
+    """nn._runs covers a band's columns [m0, m1) in order, each run at its
+    offset from m0; a run spans several images only where it holds them
+    whole. On edges that fall on multiples of 2 * ow, as a pooled forward's
+    do, every run starts and ends on a pair of rows."""
+    oh, unit = (2 * oh, 2 * ow) if pairs else (oh, 1)
+    plane, m = oh * ow, n * oh * ow
+    edges = sorted({0, m, *(min(m, cut * unit) for cut in cuts)})
+    for m0, m1 in zip(edges[:-1], edges[1:]):
+        runs = nn._runs(m0, m1, plane)
+        start = m0
+        for off, (n0, n1, e0, e1) in runs:
+            assert off == start - m0 and n0 * plane + e0 == start
+            assert 0 <= e0 < e1 <= plane and n0 < n1 <= n
+            if n1 - n0 > 1:
+                assert (e0, e1) == (0, plane)
+            if pairs:
+                assert e0 % unit == 0 and e1 % unit == 0
+            start += (n1 - n0) * (e1 - e0)
+        assert start == m1
 
 
 def test_conv_peak_allocation_is_a_fraction_of_the_patch_matrix(monkeypatch):
@@ -587,15 +616,16 @@ class TestMaxPoolMatchesWindowReference:
         self.assert_same_bits(x, d)
 
 
-def pooled_conv_case(n, c, o, oh, ow, k, pad, seed):
-    """(x, ConvParams, mask, d): a k x k conv, padded by pad, of n images
-    with c channels in and o out, whose 2 * oh x 2 * ow output was
+def pooled_conv_case(n, c, o, oh, ow, k, pad, seed, stride=1):
+    """(x, ConvParams, mask, d): a k x k conv, padded by pad, at stride, of
+    n images with c channels in and o out, whose 2 * oh x 2 * ow output was
     max-pooled, and the pooled gradient d. The pool's input holds ties and
     signed zeros, and so does d."""
     rng = np.random.default_rng(seed)
-    h, w = 2 * oh + k - 1 - 2 * pad, 2 * ow + k - 1 - 2 * pad
+    h, w = (stride * (2 * side - 1) + k - 2 * pad for side in (oh, ow))
     x = t32(rng.normal(size=(n, c, h, w)))
-    p = nn.ConvParams(t32(rng.normal(size=(o, c, k, k))), t32(rng.normal(size=o)), padding=pad)
+    p = nn.ConvParams(t32(rng.normal(size=(o, c, k, k))), t32(rng.normal(size=o)),
+                      stride=stride, padding=pad)
     levels = np.array([-1.0, -0.0, 0.0, 1.0], np.float32)
     _, mask = nn.maxpool2d_forward(Tensor(rng.choice(levels, size=(n, o, 2 * oh, 2 * ow))))
     d = rng.normal(size=(n, o, oh, ow)).astype(np.float32)
@@ -624,6 +654,12 @@ class TestPooledConvBackward:
            chunk_bytes=st.sampled_from([None, 2048]))
     # 2 KB bands of 480 columns over three 32 x 20 maps: their edges fall inside maps
     @example(case=pooled_conv_case(3, 16, 16, 16, 10, 3, 1, 0), with_input=True, relu=True,
+             chunk_bytes=2048)
+    # walks that are not flat, over maps 10 and 12 pixels wide: under a 2 KB
+    # cap their bands of whole rows split the image
+    @example(case=pooled_conv_case(1, 32, 32, 30, 5, 3, 1, 0, stride=2), with_input=True,
+             relu=True, chunk_bytes=2048)
+    @example(case=pooled_conv_case(1, 32, 32, 20, 6, 3, 0, 0), with_input=True, relu=False,
              chunk_bytes=2048)
     def test_keeps_the_bits_of_the_pool_backward_then_the_conv_backward(
             self, case, with_input, relu, chunk_bytes):
