@@ -157,6 +157,9 @@ def _read_meta_input_size(model_path: Path) -> int | None:
         text = meta.read_text(encoding="utf-8")
     except UnicodeDecodeError:
         raise ArchiveError(f"{meta} beside the model archive is not UTF-8") from None
+    except OSError as exc:
+        raise ArchiveError(f"cannot read {meta} beside the model archive: "
+                           f"{exc.strerror or exc}") from None
     for line in text.splitlines():
         key, _, raw = line.partition("=")
         if key.strip() == "input_size":
@@ -174,8 +177,11 @@ def _read_meta_input_size(model_path: Path) -> int | None:
 def _read_archive(p: Path) -> dict[str, Tensor]:
     if not p.is_file():
         raise ArchiveError(f"model archive not found: {p}")
-    with open(p, "rb") as fh:
-        return weights_io.read_weights(fh)
+    try:
+        with open(p, "rb") as fh:
+            return weights_io.read_weights(fh)
+    except OSError as exc:
+        raise ArchiveError(f"cannot read model archive {p}: {exc.strerror or exc}") from None
 
 
 def load_model(path) -> model_mod.Model:

@@ -18,22 +18,27 @@ positive, with _select, as each band is written.
 
 Convolution runs as im2col + matmul (the naive sliding-window loop is
 kept as an oracle in the test suite) over the float64 patch matrix
-[C*kh*kw x N*oh*ow], rows in (c, i, j) and columns in (n, y, x) order,
-gathered from the (C, N, H, W) view of the unpadded input with virtual
-zero padding: no padded copy of an activation is built. One band walk,
+[C*kh*kw x N*H*W] of a same-padded stride-1 conv, rows in (c, i, j) and
+columns in (n, y, x) order, gathered from the (C, N, H, W) view of the
+unpadded input with virtual zero padding of (kh // 2, kw // 2). Every
+walk is such a conv's, as large as its input. One band walk,
 _patch_bands, yields that matrix, zero-padded to whole 16-column panels,
 in bands of patch columns, each with its runs (_runs): whole images, or a
-stretch of one image's flat output pixels. In a flat walk, stride 1 and as
-wide as its input, which every model conv's walks are, each tap copies one
-run of flat pixels per image and channel, shifted by its offset, and zeroes
-the rows out of range and the columns that read across a row's edge. Any
-other walk bands on whole output rows (_align), so each tap copies the
-in-range rectangle of a run and zeroes the strips that fall in the padding.
+stretch of one image's flat pixels. Each tap copies one run of flat
+pixels per image and channel, shifted by its offset, and zeroes the rows
+out of range and the columns that read across a row's edge (_fill_run).
+
+Every model conv is same-padded with stride 1. Any other conv runs as
+that conv on its input zero-padded by however much its padding exceeds
+k // 2 on each axis (_widen; no copy where it does not): its output is a
+strided slice of that conv's, and its backward is that conv's, given a
+gradient that is zero except at the strided outputs, with d_input cropped
+back to the input. Each output takes the same terms in the same (c, i, j)
+order, so it keeps its bits; it costs the full stride-1 conv.
 
 One correlation, _correlate, serves the forward and d_input, and each of
 its bands keeps the bits of the one whole product: d_input correlates the
-(O, N, oh, ow) view of d_out (zero-inserted between strides only when the
-stride exceeds 1), virtually padded by k-1-pad, with the flipped,
+(O, N, H, W) view of d_out, virtually padded by k // 2, with the flipped,
 transposed filters, and rounds once. d_w sums d_out @ cols.T over bands in
 float64 and rounds once, taking d_out's bands from the same walk as the
 1x1 patch matrix of that view. One rule, _bands, sizes the bands of both:
@@ -56,8 +61,7 @@ run of d_w's 1x1 walk of d_out and of d_input's correlation first
 unpools the whole pairs of rows that it reads, kernel halo included, into
 one small float32 region with the four strided writes of
 maxpool2d_backward. So the full-size gradient at the conv's output is
-not built; only a conv whose walks are not flat builds it, with
-maxpool2d_backward, once for both walks.
+not built.
 """
 
 from __future__ import annotations
@@ -170,16 +174,6 @@ def _bands(length: int, k: int, o: int, align: int = 1) -> list[tuple[int, int]]
     return list(zip(edges[:-1], edges[1:]))
 
 
-def _align(stride: int, w: int, ow: int, pool: bool = False) -> int:
-    """The multiple of patch columns on which a walk's inner band edges fall:
-    2 * ow for a pooled output, whose runs then hold whole pairs of output
-    rows; 1 for a flat walk (stride 1, and ow equal to the input's width
-    w), whose runs may start and end inside a row; else ow, whole rows."""
-    if pool:
-        return 2 * ow
-    return 1 if stride == 1 and ow == w else ow
-
-
 def _runs(m0: int, m1: int, plane: int) -> list[tuple[int, tuple[int, int, int, int]]]:
     """Cover patch columns [m0, m1), in (n, y, x) order with plane columns an
     image, with runs (offset in the band, (n0, n1, e0, e1)) of the flat
@@ -196,13 +190,6 @@ def _runs(m0: int, m1: int, plane: int) -> list[tuple[int, tuple[int, int, int, 
     return runs
 
 
-def _span(lo: int, hi: int, pad: int, tap: int, stride: int, size: int) -> tuple[int, int]:
-    """The outputs [a, b) within [lo, hi) whose input index
-    tap - pad + stride * out falls inside [0, size); those outside read zero."""
-    a = min(max(lo, -((tap - pad) // stride)), hi)
-    return a, max(min(hi, (size - 1 + pad - tap) // stride + 1), a)
-
-
 def _unpool(code: np.ndarray, d: np.ndarray, out: np.ndarray) -> None:
     """The input gradient of a 2x2 max pool, whose output gradient is d and
     whose winners are code, into out (twice d's last two sides): one
@@ -211,39 +198,29 @@ def _unpool(code: np.ndarray, d: np.ndarray, out: np.ndarray) -> None:
         _select(code == k, d, out=out[..., k // 2 :: 2, k % 2 :: 2])
 
 
-def _patch_bands(x: np.ndarray, pad, bands, kh, kw, stride, oh, ow, code=None):
+def _patch_bands(x: np.ndarray, bands, kh, kw, code=None):
     """Yield (runs, cols) for each band (m0, m1) of bands, in order, of the
-    float64 patch matrix of an unpadded (C, N, H, W) input, zero-padded by
-    pad = (rows, columns); every band reuses one buffer. The runs (_runs)
-    cover the band's real columns, and the columns past the last real one
-    are zero.
-
-    A flat walk (stride 1, as wide as its input), as every same-padded
-    conv's and d_w's 1x1 walk of d_out are, fills each run tap (i, j) by
-    tap: one copy of the run's flat pixels, shifted by (i - ph) * W + j - pw
-    within each input plane, over the rows in range, then zeros for the rows
-    out of range and for the columns that read across a row's edge. Any
-    other walk's bands hold whole output rows (_align), and each run is
-    filled tap by tap as a rectangle of them: the in-range part is copied,
-    and the edge strips that would read the padding are zeroed.
+    float64 patch matrix of the same-padded stride-1 walk of a kh x kw
+    kernel over an unpadded (C, N, H, W) input; every band reuses one
+    buffer. The runs (_runs) cover the band's real columns, and the columns
+    past the last real one are zero. Each run is filled tap by tap
+    (_fill_run).
 
     With code, x is the output gradient of a 2x2 max pool and code its
-    winners, both (C, N, H/2, W/2), and the input, read by a flat walk, is
-    the pool's input gradient: each run first unpools the whole pairs of
-    rows it reads into one region that all runs reuse, so that gradient is
-    never built."""
-    taps = kh * kw
-    (c, n, h, w), (ph, pw) = x.shape, pad
+    winners, both (C, N, H/2, W/2), and the input is the pool's input
+    gradient: each run first unpools the whole pairs of rows it reads into
+    one region that all runs reuse, so that gradient is never built."""
+    taps, ph = kh * kw, kh // 2
+    c, n, h, w = x.shape
     if code is not None:
         h, w = 2 * h, 2 * w
-    k, m = c * taps, n * oh * ow
-    flat = stride == 1 and ow == w
-    runs = [_runs(m0, min(m1, m), oh * ow) for m0, m1 in bands]
+    k, m = c * taps, n * h * w
+    runs = [_runs(m0, min(m1, m), h * w) for m0, m1 in bands]
 
     def reads(run) -> tuple[int, int]:
         """The whole pairs of input rows [r0, r1) that a run reads."""
-        r0 = max(0, run[2] // ow - ph) // 2 * 2
-        r1 = min(h, (run[3] - 1) // ow - ph + kh)
+        r0 = max(0, run[2] // w - ph) // 2 * 2
+        r1 = min(h, (run[3] - 1) // w - ph + kh)
         return r0, max(r0, r1 + r1 % 2)
 
     if code is not None:
@@ -254,7 +231,7 @@ def _patch_bands(x: np.ndarray, pad, bands, kh, kw, stride, oh, ow, code=None):
                 size = max(size, (run[1] - run[0]) * (r1 - r0))
         region = np.empty(c * size * w, dtype=np.float32)
     buf = np.empty(k * max(b - a for a, b in bands), dtype=np.float64)
-    src, base = (x.reshape(c, n, h * w) if flat and code is None else x), (0, 0)
+    src, base = (x.reshape(c, n, h * w) if code is None else x), (0, 0)
     for (m0, m1), band in zip(bands, runs):
         cols = buf[: k * (m1 - m0)].reshape(k, m1 - m0)
         cols[:, m - m0 :] = 0
@@ -266,17 +243,17 @@ def _patch_bands(x: np.ndarray, pad, bands, kh, kw, stride, oh, ow, code=None):
                     n1 - n0, c, r1 - r0, w).transpose(1, 0, 2, 3)
                 _unpool(code[:, n0:n1, r0 // 2 : r1 // 2], x[:, n0:n1, r0 // 2 : r1 // 2], rows)
                 src, base = rows.reshape(c, n1 - n0, -1), (n0, r0)
-            if flat:
-                _fill_run(cols, off, run, src, base, pad, kh, kw, h, w)
-            else:
-                _fill_rows(cols, off, run, x, pad, kh, kw, stride, h, w, ow)
+            _fill_run(cols, off, run, src, base, kh, kw, h, w)
         yield band, cols
 
 
-def _fill_run(cols, off, run, src, base, pad, kh, kw, h, w):
+def _fill_run(cols, off, run, src, base, kh, kw, h, w):
     """Fill a run's columns of a band from src (C, N, rows * W), which holds
-    the input's rows from base = (image, row) on."""
-    taps, (ph, pw) = kh * kw, pad
+    the input's rows from base = (image, row) on: tap (i, j) copies the
+    run's flat pixels, shifted by (i - kh // 2) * W + j - kw // 2 within
+    each input plane, over the rows in range, then zeroes the rows out of
+    range and the columns that read across a row's edge."""
+    taps, ph, pw = kh * kw, kh // 2, kw // 2
     n0, n1, e0, e1 = run
     size = src.shape[2]
     for t in range(taps):
@@ -287,7 +264,9 @@ def _fill_run(cols, off, run, src, base, pad, kh, kw, h, w):
         a = min(max(e0, (ph - i) * w, -s), e1)
         b = max(min(e1, (h + ph - i) * w, size - s), a)
         view[..., a - e0 : b - e0] = src[:, n0 - base[0] : n1 - base[0], a + s : b + s]
-        # the zeros go after the copy, as _fill_rows's strips do
+        # The zeros go after the copy, which has just brought their cache
+        # lines in: written first, a column strip cost about as much as the
+        # copy on a band larger than the L2 cache.
         if a > e0:
             view[..., : a - e0] = 0
         if b < e1:
@@ -296,43 +275,16 @@ def _fill_run(cols, off, run, src, base, pad, kh, kw, h, w):
             view[..., (col - e0) % w :: w] = 0
 
 
-def _fill_rows(cols, off, run, x, pad, kh, kw, stride, h, w, ow):
-    """Fill a run of whole output rows of a band from x (C, N, H, W)."""
-    taps, (ph, pw) = kh * kw, pad
-    n0, n1, e0, e1 = run
-    y0, y1 = e0 // ow, e1 // ow
-    for t in range(taps):
-        i, j = divmod(t, kw)
-        ya, yb = _span(y0, y1, ph, i, stride, h)
-        xa, xb = _span(0, ow, pw, j, stride, w)
-        view = cols[t::taps, off : off + (n1 - n0) * (e1 - e0)].reshape(-1, n1 - n0, y1 - y0, ow)
-        r, q = i - ph + stride * ya, j - pw + stride * xa
-        view[:, :, ya - y0 : yb - y0, xa:xb] = x[
-            :, n0:n1, r : r + stride * (yb - ya) : stride, q : q + stride * (xb - xa) : stride]
-        # The strips go after the copy, which has just brought their cache
-        # lines in: written first, a column strip cost about as much as the
-        # copy on a band larger than the L2 cache.
-        if ya > y0:
-            view[:, :, : ya - y0] = 0
-        if yb < y1:
-            view[:, :, yb - y0 :] = 0
-        if xa > 0:
-            view[..., :xa] = 0
-        if xb < ow:
-            view[..., xb:] = 0
-
-
-def _correlate(x: np.ndarray, pad, w64: np.ndarray, bias, kh, kw, stride, oh, ow,
-               relu=False, pool=False, keep=None, code=None):
+def _correlate(x: np.ndarray, w64: np.ndarray, bias, kh, kw, relu=False, pool=False,
+               keep=None, code=None):
     """NCHW float32 out[n,o,y,x] = bias[o] + sum over c,i,j of
-    x[c,n,y*stride+i-ph,x*stride+j-pw] * w64[o,(c,i,j)], zero outside a
-    (C, N, H, W) input, for pad = (ph, pw): one _mm64 per band of the patch
-    matrix into one reused float64 buffer, then one epilogue per run of the
-    band (_runs), which rounds it to float32 and adds the bias into the
-    output.
+    x[c,n,y+i-kh//2,x+j-kw//2] * w64[o,(c,i,j)], zero outside a (C, N, H, W)
+    input, as large as it: one _mm64 per band of the patch matrix into one
+    reused float64 buffer, then one epilogue per run of the band (_runs),
+    which rounds it to float32 and adds the bias into the output.
 
-    With pool, whose runs hold whole pairs of output rows (_align), a band
-    is rounded with its bias into a reused float32 band, and each run is
+    With pool, whose runs hold whole pairs of output rows, a band is
+    rounded with its bias into a reused float32 band, and each run is
     max-pooled from it into the quarter-size output, the only map built;
     (pooled, winner codes) is returned. relu then rectifies each run's
     output in place. A bool keep of the output's shape zeroes the output
@@ -340,18 +292,19 @@ def _correlate(x: np.ndarray, pad, w64: np.ndarray, bias, kh, kw, stride, oh, ow
     ReLU). With code, x is a pool's output gradient, unpooled as
     _patch_bands reads it.
     """
-    (c, n), o = x.shape[:2], len(w64)
+    (c, n, h, w), o = x.shape, len(w64)
+    if code is not None:
+        h, w = 2 * h, 2 * w
     k, f = c * kh * kw, 2 if pool else 1
-    w = x.shape[3] if code is None else 2 * x.shape[3]
-    bands = _bands(n * oh * ow, k, o, _align(stride, w, ow, pool))
-    out = np.empty((n, o, oh // f, ow // f), dtype=np.float32)
+    bands = _bands(n * h * w, k, o, 2 * w if pool else 1)
+    out = np.empty((n, o, h // f, w // f), dtype=np.float32)
     width = max(b - a for a, b in bands)
     product = np.empty(o * width)
     if pool:
         # the pool compares the rounded sums, so they go to a float32 band
         winner = np.empty(out.shape, dtype=np.uint8)
         conv = np.empty(o * width, dtype=np.float32)
-    for runs, cols in _patch_bands(x, pad, bands, kh, kw, stride, oh, ow, code):
+    for runs, cols in _patch_bands(x, bands, kh, kw, code):
         band = _mm64(w64, cols, out=product[: o * cols.shape[1]].reshape(o, -1))
         if pool:
             band = np.add(band, bias[:, None], out=conv[: band.size].reshape(band.shape),
@@ -359,9 +312,9 @@ def _correlate(x: np.ndarray, pad, w64: np.ndarray, bias, kh, kw, stride, oh, ow
         for off, (n0, n1, e0, e1) in runs:
             src = band[:, off : off + (n1 - n0) * (e1 - e0)].reshape(o, n1 - n0, -1)
             if pool:
-                y0, y1 = e0 // (2 * ow), e1 // (2 * ow)
+                y0, y1 = e0 // (2 * w), e1 // (2 * w)
                 dst = out[n0:n1, :, y0:y1]
-                _pool(src.reshape(o, n1 - n0, -1, ow), dst.transpose(1, 0, 2, 3),
+                _pool(src.reshape(o, n1 - n0, -1, w), dst.transpose(1, 0, 2, 3),
                       winner[n0:n1, :, y0:y1].transpose(1, 0, 2, 3))
             else:
                 dst = out.reshape(n, o, -1)[n0:n1, :, e0:e1]
@@ -373,6 +326,21 @@ def _correlate(x: np.ndarray, pad, w64: np.ndarray, bias, kh, kw, stride, oh, ow
     return (out, winner) if pool else out
 
 
+def _widen(x: np.ndarray, p: ConvParams, kh, kw, oh, ow):
+    """Recast a conv that is not same-padded with stride 1 as the one that
+    is: its NCHW input x, zero-padded by however much p.padding exceeds
+    k // 2 on each axis (x itself where it does not), the index of the
+    strided slice of the same-padded stride-1 conv's output that is this
+    conv's output, and the index of the padded input that is x."""
+    eh, ew = max(0, p.padding - kh // 2), max(0, p.padding - kw // 2)
+    h, w = x.shape[2:]
+    if eh or ew:
+        x = np.pad(x, ((0, 0), (0, 0), (eh, eh), (ew, ew)))
+    y0, x0, s = kh // 2 + eh - p.padding, kw // 2 + ew - p.padding, p.stride
+    return (x, (..., slice(y0, y0 + s * oh, s), slice(x0, x0 + s * ow, s)),
+            (..., slice(eh, eh + h), slice(ew, ew + w)))
+
+
 def conv2d_forward(x: Tensor, p: ConvParams, relu=False,
                    pool=False) -> Tensor | tuple[Tensor, PoolMask]:
     """Cross-correlate an NCHW batch with the filter bank.
@@ -381,18 +349,28 @@ def conv2d_forward(x: Tensor, p: ConvParams, relu=False,
     input[n,c,y*s+i-pad,x*s+j-pad] * w[o,c,i,j], zero outside bounds.
 
     pool max-pools the output as maxpool2d_forward does and returns
-    (pooled, PoolMask); relu then rectifies the result. Both run on each
-    band of the output as it is written, with the bits of the separate ops.
+    (pooled, PoolMask); relu then rectifies the result. A same-padded
+    stride-1 conv runs both on each band of the output as it is written,
+    with the bits of the separate ops. Any other conv's output is a strided
+    slice of the same-padded stride-1 conv of its widened input (_widen),
+    which pool and relu then take as maxpool2d_forward and np.maximum do.
     """
     n, c, h, w, out_ch, kh, kw, oh, ow = _conv_geometry(x.shape, p)
     if pool and (oh % 2 or ow % 2):
         raise ShapeError(f"spatial dims must be divisible by 2, got {oh}x{ow}")
     w64 = p.weights.array.reshape(out_ch, -1).astype(np.float64)
-    out = _correlate(x.array.transpose(1, 0, 2, 3), (p.padding, p.padding), w64,
-                     p.bias.array, kh, kw, p.stride, oh, ow, relu, pool)
-    if pool:
-        return Tensor._wrap(out[0]), PoolMask(out[1], (n, out_ch, oh, ow))
-    return Tensor._wrap(out)
+    if p.stride == 1 and p.padding == kh // 2 == kw // 2:
+        out = _correlate(x.array.transpose(1, 0, 2, 3), w64, p.bias.array, kh, kw, relu, pool)
+        if pool:
+            return Tensor._wrap(out[0]), PoolMask(out[1], (n, out_ch, oh, ow))
+        return Tensor._wrap(out)
+    wide, at, _ = _widen(x.array, p, kh, kw, oh, ow)
+    out = Tensor._wrap(np.ascontiguousarray(
+        _correlate(wide.transpose(1, 0, 2, 3), w64, p.bias.array, kh, kw)[at]))
+    out, mask = maxpool2d_forward(out) if pool else (out, None)
+    if relu:
+        out = Tensor._wrap(np.maximum(out.array, np.float32(0.0)))
+    return (out, mask) if pool else out
 
 
 def conv2d_backward(x: Tensor, p: ConvParams, d_out: Tensor, with_input=True,
@@ -406,17 +384,20 @@ def conv2d_backward(x: Tensor, p: ConvParams, d_out: Tensor, with_input=True,
     d_input products run.
 
     mask says that the conv's output was max-pooled (conv2d_forward's
-    pool) and d_out is the pooled gradient. The gradient at the conv's
-    output, maxpool2d_backward(mask, d_out), is then not built: each run
-    of d_w's and d_input's band walks unpools the rows it reads, with
-    d_input's kernel halo, into one small region. Only a conv whose walks
-    are not flat (a stride above 1, or an output not as wide as its input)
-    builds it, once, for both walks. d_w and d_input have the bits of the
-    unfused backward; d_bias sums d_out, whose values are the nonzero terms
-    of that gradient, so its float64 sum is grouped differently.
+    pool) and d_out is the pooled gradient. In a same-padded stride-1 conv
+    the gradient at the conv's output, maxpool2d_backward(mask, d_out), is
+    then not built: each run of d_w's and d_input's band walks unpools the
+    rows it reads, with d_input's kernel halo, into one small region. d_w
+    and d_input have the bits of the unfused backward; d_bias sums d_out,
+    whose values are the nonzero terms of that gradient, so its float64
+    sum is grouped differently.
+
+    Any other conv runs the backward of the same-padded stride-1 conv of
+    its widened input (_widen), given a gradient that is zero except at
+    the strided outputs, which hold d_out, unpooled whole under a mask;
+    d_input is cropped back to x, and d_bias still sums d_out.
     """
     n, c, h, w, out_ch, kh, kw, oh, ow = _conv_geometry(x.shape, p)
-    s, pad = p.stride, p.padding
     want = (n, out_ch) + ((oh, ow) if mask is None else (oh // 2, ow // 2))
     if d_out.shape != want:
         raise ShapeError(f"d_out shape {d_out.shape} != {want}")
@@ -424,42 +405,36 @@ def conv2d_backward(x: Tensor, p: ConvParams, d_out: Tensor, with_input=True,
         raise ShapeError(f"pool input {mask.input_shape} != forward output "
                          f"({n}, {out_ch}, {oh}, {ow})")
     d_bias = np.sum(d_out.array, axis=(0, 2, 3), dtype=np.float64).astype(np.float32)
-    code = None
-    if mask is not None:
-        code = mask.window_argmax.transpose(1, 0, 2, 3)
-        if s > 1 or ow != w:
-            # d_input's walk is not flat: it spreads the gradient at a stride
-            # above 1, or reads it by whole rows, so it is built once
-            d_out, code = maxpool2d_backward(mask, d_out), None
+    x, d, code, crop = x.array, d_out.array, None, None
+    if p.stride == 1 and p.padding == kh // 2 == kw // 2:
+        if mask is not None:
+            code = mask.window_argmax.transpose(1, 0, 2, 3)
+    else:
+        x, at, crop = _widen(x, p, kh, kw, oh, ow)
+        d = np.zeros((n, out_ch, *x.shape[2:]), dtype=np.float32)
+        d[at] = d_out.array if mask is None else maxpool2d_backward(mask, d_out).array
 
     # d_w: d_out @ cols.T over bands of patch columns, summed in float64 in
     # ascending band order and rounded once; d_out's band is the 1x1 patch
-    # matrix of its (O, N, oh, ow) view on the same edges. A band's K patch
+    # matrix of its (O, N, H, W) view on the same edges. A band's K patch
     # rows and its O d_out rows share the cap, as in a correlation.
-    d_t = d_out.array.transpose(1, 0, 2, 3)
+    d_t = d.transpose(1, 0, 2, 3)
     k = c * kh * kw
-    bands = _bands(n * oh * ow, k, out_ch, _align(s, w, ow))
+    bands = _bands(n * x.shape[2] * x.shape[3], k, out_ch)
     d_w = np.zeros((out_ch, k), dtype=np.float64)
-    for (_, cols), (_, d_band) in zip(
-            _patch_bands(x.array.transpose(1, 0, 2, 3), (pad, pad), bands, kh, kw, s, oh, ow),
-            _patch_bands(d_t, (0, 0), bands, 1, 1, 1, oh, ow, code)):
+    for (_, cols), (_, d_band) in zip(_patch_bands(x.transpose(1, 0, 2, 3), bands, kh, kw),
+                                      _patch_bands(d_t, bands, 1, 1, code)):
         d_w += _mm64(d_band, cols.T, np.float64)
     del cols, d_band
-    keep = x.array > 0 if relu and with_input else None
+    keep = x > 0 if relu and with_input else None
     del x
 
-    # d_input: d_out, zero-inserted between strides and virtually padded by
-    # k-1-pad (cut where that is negative), correlated with flipped W.T
+    # d_input: d_out, virtually padded by k // 2, correlated with flipped W.T
     d_input = None
     if with_input:
         wt64 = p.weights.array[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c, -1).astype(np.float64)
-        dz = d_t
-        if s > 1:
-            dz = np.zeros((out_ch, n, s * (oh - 1) + 1, s * (ow - 1) + 1), dtype=np.float32)
-            dz[:, :, ::s, ::s] = d_t
-        d_input = Tensor._wrap(_correlate(dz, (kh - 1 - pad, kw - 1 - pad), wt64,
-                                          np.zeros(c, np.float32), kh, kw, 1, h, w,
-                                          keep=keep, code=code))
+        d_input = _correlate(d_t, wt64, np.zeros(c, np.float32), kh, kw, keep=keep, code=code)
+        d_input = Tensor._wrap(d_input if crop is None else np.ascontiguousarray(d_input[crop]))
     return LayerGradients(
         d_input=d_input,
         d_params={"weights": Tensor._wrap(d_w.astype(np.float32).reshape(out_ch, c, kh, kw)),

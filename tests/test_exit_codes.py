@@ -9,6 +9,7 @@ import io
 import shutil
 import struct
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -176,6 +177,25 @@ def test_overflowing_archive_is_named(work, command):
     assert one_error_line(serve(work, command, work / "huge.dnw")) == (
         f"3 error: model archive {work / 'huge.dnw'}: the logits are not finite "
         "(its weights overflow float32)")
+
+
+@pytest.mark.skipif(not Path("/proc/self/mem").is_file(), reason="needs /proc/self/mem")
+@pytest.mark.parametrize("command", ["predict", "cam", "eval"])
+def test_unreadable_archive_is_named(work, command):
+    # a regular file whose read at offset 0 fails with EIO
+    assert one_error_line(serve(work, command, "/proc/self/mem")) == (
+        "3 error: cannot read model archive /proc/self/mem: Input/output error")
+
+
+@pytest.mark.skipif(not Path("/proc/self/mem").is_file(), reason="needs /proc/self/mem")
+def test_unreadable_run_meta_is_named(work):
+    (work / "mem").mkdir(exist_ok=True)
+    (work / "mem" / "model.dnw").write_bytes(MODEL)
+    meta = work / "mem" / "run.meta"
+    if not meta.is_symlink():
+        meta.symlink_to("/proc/self/mem")
+    assert one_error_line(serve(work, "predict", work / "mem" / "model.dnw")) == (
+        f"3 error: cannot read {meta} beside the model archive: Input/output error")
 
 
 @FAST

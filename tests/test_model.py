@@ -723,6 +723,22 @@ class TestLossAndGradients:
             assert_grad_close(grads[name].array, central_diff(f, value), name)
 
     @pytest.mark.parametrize("k", [0, 1], ids=["freeze0", "freeze1"])
+    def test_model_convs_take_the_flat_walk(self, monkeypatch, k):
+        """Every model conv is 3x3, same-padded and stride 1, so a forward and
+        a step, pooled convs and all, never widen an input the way a strided
+        or otherwise padded conv is widened: the path every workload times."""
+        def widen(*args):
+            raise AssertionError("a model conv was widened")
+
+        monkeypatch.setattr(nn, "_widen", widen)
+        spec = ArchSpec(((2, 4), (1, 8)), GapHead(), num_classes=4, in_channels=3,
+                        input_size=16)
+        m = set_trainable(build(spec, seed=1), k)
+        x = Tensor(np.random.default_rng(4).uniform(0, 1, (2, 3, 16, 16)).astype(np.float32))
+        forward(m, x)
+        loss_and_gradients(m, x, [0, 1])
+
+    @pytest.mark.parametrize("k", [0, 1], ids=["freeze0", "freeze1"])
     def test_lowest_trainable_conv_runs_no_d_input_gemm(self, monkeypatch, k):
         """Nothing reads the gradient at the input of the lowest trainable
         conv, so it runs only its d_w GEMMs, whose products have one row per

@@ -46,12 +46,14 @@ CONV_IDS = [f"n{n}-c{c}o{o}-{h}x{w}-k{k}s{s}p{p}" for n, c, o, h, w, k, s, p in 
 
 
 def conv_case(seed, n, c, o, h, w, k, stride, pad):
-    """Input, filters, bias and a projection r of the output to a scalar."""
+    """Input, filters, bias and a projection r of the output to a scalar;
+    the kernel k is a side or a (kh, kw) pair."""
+    kh, kw = (k, k) if np.isscalar(k) else k
     rng = np.random.default_rng(seed)
     x = rng.normal(size=(n, c, h, w)).astype(np.float32)
-    wt = rng.normal(size=(o, c, k, k)).astype(np.float32)
+    wt = rng.normal(size=(o, c, kh, kw)).astype(np.float32)
     b = rng.normal(size=o).astype(np.float32)
-    oh, ow = (h + 2 * pad - k) // stride + 1, (w + 2 * pad - k) // stride + 1
+    oh, ow = (h + 2 * pad - kh) // stride + 1, (w + 2 * pad - kw) // stride + 1
     r = rng.normal(size=(n, o, oh, ow))
     return x, wt, b, r
 
@@ -146,16 +148,17 @@ BANDED_SHAPES = st.tuples(
 
 def d_input_reference(w, r, x_shape, stride, pad):
     """d_input as a whole-matrix forward: d_out, zero-inserted between
-    strides and padded by k-1-pad (cut where that is negative), correlated
-    with the flipped filters, transposed, and a zero bias."""
+    strides and padded by kh-1-pad and kw-1-pad (cut where that is
+    negative), correlated with the flipped filters, transposed, and a zero
+    bias."""
     n, c, h, wd = x_shape
-    o, _, k, _ = w.shape
-    lo = k - 1 - pad
-    spread = np.zeros((n, o, h + k - 1, wd + k - 1), dtype=np.float32)
+    o, _, kh, kw = w.shape
+    lo_y, lo_x = kh - 1 - pad, kw - 1 - pad
+    spread = np.zeros((n, o, h + kh - 1, wd + kw - 1), dtype=np.float32)
     for y in range(r.shape[2]):
         for x in range(r.shape[3]):
-            if 0 <= lo + stride * y < h + k - 1 and 0 <= lo + stride * x < wd + k - 1:
-                spread[:, :, lo + stride * y, lo + stride * x] = r[:, :, y, x]
+            if 0 <= lo_y + stride * y < h + kh - 1 and 0 <= lo_x + stride * x < wd + kw - 1:
+                spread[:, :, lo_y + stride * y, lo_x + stride * x] = r[:, :, y, x]
     flipped = np.ascontiguousarray(w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3))
     return im2col_ref.conv2d_forward(t32(spread), nn.ConvParams(t32(flipped), Tensor.zeros((c,))))
 
@@ -186,8 +189,8 @@ class TestConvMatchesWholeMatrixReference:
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(case=BANDED_SHAPES, chunk_bytes=st.sampled_from([None, 2048, 8192]),
            seed=st.integers(0, 2 ** 16))
-    # walks that are not flat, 10 and 12 pixels wide: under a 2 KB cap their
-    # bands of whole rows split the image, in the forward and in d_w
+    # a strided and an unpadded conv, widened to maps 20 and 14 pixels wide:
+    # under a 2 KB cap their bands split the image, in the forward and in d_w
     @example(case=(1, 32, 32, 120, 20, 3, 2, 1), chunk_bytes=2048, seed=0)
     @example(case=(1, 32, 32, 42, 14, 3, 1, 0), chunk_bytes=2048, seed=0)
     def test_bit_identical(self, case, chunk_bytes, seed):
@@ -235,6 +238,17 @@ class TestConvMatchesWholeMatrixReference:
         assert masked.d_input.array.tobytes() == want.array.tobytes()
         for name in ("weights", "bias"):
             assert masked.d_params[name].array.tobytes() == plain.d_params[name].array.tobytes()
+
+    @pytest.mark.parametrize("chunk_bytes", [None, 2048])
+    @pytest.mark.parametrize("pad", [0, 1, 2])
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("kernel", [(1, 3), (3, 1), (3, 5), (5, 3)], ids=str)
+    def test_non_square_kernels_are_bit_identical(self, kernel, stride, pad, chunk_bytes):
+        """A kh != kw kernel is never same-padded on both axes, so it runs as
+        the same-padded stride-1 conv of its widened input, padded by k // 2
+        per axis; under a 2 KB cap its bands split the images."""
+        got, want = conv_both_ways((2, 32, 32, 24, 19, kernel, stride, pad), 5, chunk_bytes)
+        assert conv_bytes(*got) == conv_bytes(*want)
 
     def test_small_cap_splits_every_gemm(self, monkeypatch):
         """A case whose three GEMMs all split into several bands under a 2 KB cap."""
@@ -655,8 +669,8 @@ class TestPooledConvBackward:
     # 2 KB bands of 480 columns over three 32 x 20 maps: their edges fall inside maps
     @example(case=pooled_conv_case(3, 16, 16, 16, 10, 3, 1, 0), with_input=True, relu=True,
              chunk_bytes=2048)
-    # walks that are not flat, over maps 10 and 12 pixels wide: under a 2 KB
-    # cap their bands of whole rows split the image
+    # a strided and an unpadded conv, widened to maps 19 and 14 pixels wide:
+    # under a 2 KB cap their bands split the image
     @example(case=pooled_conv_case(1, 32, 32, 30, 5, 3, 1, 0, stride=2), with_input=True,
              relu=True, chunk_bytes=2048)
     @example(case=pooled_conv_case(1, 32, 32, 20, 6, 3, 0, 0), with_input=True, relu=False,
