@@ -174,11 +174,20 @@ def _read_meta_input_size(model_path: Path) -> int | None:
     return None
 
 
+@contextmanager
+def _naming(path):
+    """Put the archive's path in front of an ArchiveError raised in the block."""
+    try:
+        yield
+    except ArchiveError as exc:
+        raise ArchiveError(f"{path}: {exc}") from None
+
+
 def _read_archive(p: Path) -> dict[str, Tensor]:
     if not p.is_file():
         raise ArchiveError(f"model archive not found: {p}")
     try:
-        with open(p, "rb") as fh:
+        with open(p, "rb") as fh, _naming(p):
             return weights_io.read_weights(fh)
     except OSError as exc:
         raise ArchiveError(f"cannot read model archive {p}: {exc.strerror or exc}") from None
@@ -202,8 +211,12 @@ def load_model(path) -> model_mod.Model:
     if spec.num_classes != len(LABEL_NAMES):
         raise ArchiveError(f"model in {p} classifies {spec.num_classes} classes, "
                            f"the labels are {len(LABEL_NAMES)}")
+    if spec.in_channels != 3:
+        raise ArchiveError(f"model in {p} takes {spec.in_channels} input channels, "
+                           "an RGB image has 3")
     shapes = model_mod.param_shapes(spec)
-    weights_io.check_strict(shapes, params)
+    with _naming(p):
+        weights_io.check_strict(shapes, params)
     return model_mod.Model(spec, {n: params[n] for n in shapes}, dict.fromkeys(shapes, True))
 
 
@@ -266,9 +279,8 @@ def _serving(path):
 def _require_image(path, size: int):
     img = read_ppm(path)
     if (img.width, img.height) != (size, size):
-        raise ImageSizeError(
-            f"image must be {size}x{size}, got {img.width}x{img.height}"
-        )
+        raise ImageSizeError(f"{path}: image must be {size}x{size}, "
+                             f"got {img.width}x{img.height}")
     return img
 
 
@@ -345,8 +357,10 @@ def cmd_train(args) -> int:
                           "does not fit in memory") from None
     net = set_trainable(net, cfg["freeze_blocks"])
     if cfg["init_weights"]:
-        net = weights_io.load_into(net, _read_archive(Path(cfg["init_weights"])),
-                                   cfg["init_policy"])
+        init = Path(cfg["init_weights"])
+        params = _read_archive(init)
+        with _naming(init):
+            net = weights_io.load_into(net, params, cfg["init_policy"])
     ds = load_dataset(cfg["data_dir"])
     for w in ds.warnings:
         print(f"warning: {w}")

@@ -39,12 +39,14 @@ order, so it keeps its bits; it costs the full stride-1 conv.
 One correlation, _correlate, serves the forward and d_input, and each of
 its bands keeps the bits of the one whole product: d_input correlates the
 (O, N, H, W) view of d_out, virtually padded by k // 2, with the flipped,
-transposed filters, and rounds once. d_w sums d_out @ cols.T over bands in
-float64 and rounds once, taking d_out's bands from the same walk as the
-1x1 patch matrix of that view. One rule, _bands, sizes the bands of both:
-a band's K patch rows plus the O rows beside them (the product, or d_out's
-band) hold at most CHUNK_BYTES, so a non-pooled conv's d_w walks the edges
-of its forward.
+transposed filters (Dumoulin & Visin, arXiv:1603.07285), and rounds once.
+d_w sums d_out @ cols.T over bands in float64 and rounds once, taking
+d_out's bands from the same walk as the 1x1 patch matrix of that view.
+The bands split d_w's inner dimension, so its float64 sum, unlike a
+correlation's product, depends on the band edges and so on CHUNK_BYTES.
+One rule, _bands, sizes the bands of both: a band's K patch rows plus the
+O rows beside them (the product, or d_out's band) hold at most
+CHUNK_BYTES, so a non-pooled conv's d_w walks the edges of its forward.
 
 _correlate has one epilogue, run by run: each band's product lands in one
 reused float64 buffer and is rounded to float32 and added to the bias in

@@ -135,13 +135,8 @@ def load_into(model: Model, params: dict[str, Tensor], policy: str = "strict") -
         raise ValueError(f"unknown policy {policy!r}; use 'strict' or 'skip-missing'")
     if policy == "strict":
         check_strict({n: t.shape for n, t in model.params.items()}, params)
-        new_params = {name: params[name] for name in model.params}
-    else:
-        new_params = {}
-        for name, t in model.params.items():
-            src = params.get(name)
-            if src is not None and src.shape == t.shape:
-                new_params[name] = src
-            else:
-                new_params[name] = t
+    new_params = {}
+    for name, t in model.params.items():
+        src = params.get(name)
+        new_params[name] = src if src is not None and src.shape == t.shape else t
     return replace(model, params=new_params, trainable=dict(model.trainable))

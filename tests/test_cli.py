@@ -1,7 +1,13 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from synth_data import from_float, patch_image, solid_image, texture_image, write_tree
 
+import defectnet
 from defectnet.cli import load_model, main, parse_config_text
 from defectnet.data import encode_ppm
 from defectnet.errors import ConfigError
@@ -229,6 +235,11 @@ class TestTrain:
         bad = tmp_path / "bad.cfg"
         bad.write_text("epochz = 1\n")
         assert main(["train", "--config", str(bad)]) == 2
+
+    def test_custom_arch_without_blocks_exit_2(self, tmp_path, capsys):
+        cfg = toy_config(tmp_path, tmp_path / "absent", tmp_path / "run", custom_blocks="")
+        assert main(["train", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == "config error: arch=custom needs custom_blocks\n"
 
     def test_missing_dataset_exit_3(self, tmp_path):
         cfg = toy_config(tmp_path, tmp_path / "absent", tmp_path / "run")
@@ -521,12 +532,18 @@ class TestPredict:
         img = tmp_path / "in.ppm"
         img.write_bytes(encode_ppm(solid_image(16, (9, 9, 9))))
         assert main(["predict", str(model), str(img)]) == 3
-        assert capsys.readouterr().err == f"error: {message}\n"
+        assert capsys.readouterr().err == f"error: {model}: {message}\n"
 
     def test_missing_model_exit_3(self, tmp_path):
         img = tmp_path / "in.ppm"
         img.write_bytes(encode_ppm(solid_image(8, (1, 2, 3))))
         assert main(["predict", str(tmp_path / "no.dnw"), str(img)]) == 3
+
+    def test_run_meta_without_input_size_loads_at_224(self, tmp_path):
+        model = tmp_path / "model.dnw"
+        write_model(model, zero_model(ArchSpec(((1, 4),), GapHead(), num_classes=4)))
+        (tmp_path / "run.meta").write_text("seed = 3\nhead = gap\n")
+        assert load_model(model).spec.input_size == 224
 
 
 class TestCam:
@@ -728,3 +745,16 @@ class TestAtomicOutputs:
         rc = main(["eval", "--counts", str(counts), "--out-csv", str(out / "c.csv")])
         self.assert_old_outputs_kept(capsys, rc, out, None, "c.csv")
         assert self.snapshot(tmp_path) == before
+
+
+def test_cli_imports_only_the_standard_library_numpy_and_itself():
+    """`import defectnet.cli` is all the setup of every command: it loads no
+    third-party module beyond numpy."""
+    src = Path(defectnet.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    code = ("import sys; before = set(sys.modules); import defectnet.cli; "
+            "print(*sorted({m.split('.')[0] for m in set(sys.modules) - before}))")
+    loaded = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, check=True, timeout=60).stdout.split()
+    assert "defectnet" in loaded and "numpy" in loaded
+    assert set(loaded) - {"numpy", "defectnet"} <= sys.stdlib_module_names

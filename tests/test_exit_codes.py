@@ -349,3 +349,81 @@ def test_oversized_batch_exits_2_at_once(work):
         "2 config error: batch_size = 1000000000: a batch of 16x16 images "
         "does not fit in memory")
     assert not (work / "run").exists()
+
+
+def code_and_stderr(argv) -> tuple[int, str]:
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    assert err.getvalue().count("\n") <= 1, err.getvalue()
+    return rc, err.getvalue()
+
+
+@FAST
+@given(model=mutations(MODEL))
+@example(model=b"DNW1" + struct.pack("<II", 1, 1) + b"a" + struct.pack("<I", 0))
+@example(model=dnw((b"a", np.zeros(0))))
+# a one-channel model, whose input no RGB image fits
+@example(model=dnw((b"block1.conv1.w", np.zeros((4, 1, 3, 3))), (b"block1.conv1.b", np.zeros(4)),
+                   (b"head.out.w", np.zeros((4, 4))), (b"head.out.b", np.zeros(4))))
+@pytest.mark.filterwarnings("error")
+def test_rejected_archive_is_named(work, model):
+    path = work / "named.dnw"
+    path.write_bytes(model)
+    rc, err = code_and_stderr(["predict", str(path), str(work / "image.ppm")])
+    assert rc in (0, 3)
+    if rc == 3:
+        assert str(path) in err, err
+
+
+@FAST
+@given(ppm=mutations(IMAGE, span=IMAGE.index(b"255\n") + 4))
+@example(ppm=encode_ppm(solid_image(2 * SIZE, (90, 60, 30))))
+def test_rejected_image_is_named(work, ppm):
+    path = work / "named.ppm"
+    path.write_bytes(ppm)
+    rc, err = code_and_stderr(["predict", str(work / "model.dnw"), str(path)])
+    assert rc in (0, 4)
+    if rc == 4:
+        assert str(path) in err, err
+
+
+NO_HEAD_BIAS = dnw(*((name.encode(), t.array) for name, t in
+                     build(ArchSpec(((1, 4),), GapHead(), 4, input_size=SIZE), 0).params.items()
+                     if name != "head.out.b"))
+
+
+@pytest.mark.parametrize("command", ["predict", "cam", "train"])
+@pytest.mark.parametrize("content, message", [
+    (b"XXXX", "bad magic b'XXXX', expected b'DNW1'"),
+    (NO_HEAD_BIAS, "archive is missing model parameters: head.out.b"),
+], ids=["bad-magic", "no-head-bias"])
+def test_rejected_archive_names_its_path(work, command, content, message):
+    # train reads init_weights, strictly, before its absent data_dir
+    path = work / "rejected.dnw"
+    path.write_bytes(content)
+    argv = (train_on(work, work / "absent", input_size=SIZE, init_weights=path,
+                     init_policy="strict") if command == "train" else serve(work, command, path))
+    assert one_error_line(argv) == f"3 error: {path}: {message}"
+
+
+def on_image(work, command, image):
+    """argv of predict or cam with the 16-px model on image."""
+    return [command, str(work / "model.dnw"), str(image)] + [str(work / "cam.ppm")] * (command == "cam")
+
+
+@pytest.mark.parametrize("command", ["predict", "cam"])
+def test_wrong_sized_image_is_named(work, command):
+    path = work / "big.ppm"
+    path.write_bytes(encode_ppm(solid_image(2 * SIZE, (90, 60, 30))))
+    assert one_error_line(on_image(work, command, path)) == (
+        f"4 image error: {path}: image must be 16x16, got 32x32")
+
+
+@pytest.mark.parametrize("command", ["predict", "cam"])
+def test_unreadable_image_is_named(work, command):
+    # a directory where the image should be: reading it fails with EISDIR
+    path = work / "dir.ppm"
+    path.mkdir(exist_ok=True)
+    assert one_error_line(on_image(work, command, path)) == (
+        f"4 image error: cannot read image {path}: Is a directory (byte offset 0)")

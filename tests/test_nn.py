@@ -270,6 +270,26 @@ class TestConvMatchesWholeMatrixReference:
             assert len(phase) >= 3 and sum(phase) == 640
         assert set(kinds[first:last]) == {np.float64}
 
+    @pytest.mark.parametrize("chunk_bytes", [2048, 8192])
+    def test_short_last_band_joins_the_one_before(self, chunk_bytes):
+        """A pooled conv's band edges fall on units of lcm(16, 2 * 14) = 112
+        columns here. Under a small cap, four 20 x 14 maps split at 560 into
+        two bands; three would split at 448, but their last band, 400
+        columns of 72 patch rows against 32 filters, falls to OpenBLAS's
+        small-matrix size, so it joins the first. The output and the pool
+        mask keep the bits of the whole-matrix conv, pooled and rectified."""
+        x, w, b, _ = conv_case(0, 3, 8, 32, 20, 14, 3, 1, 1)
+        p = nn.ConvParams(t32(w), t32(b), padding=1)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(nn, "CHUNK_BYTES", chunk_bytes)
+            assert nn._bands(4 * 20 * 14, 72, 32, 28) == [(0, 560), (560, 1120)]
+            assert (848 - 448) * 72 * 32 <= nn._SMALL_GEMM
+            assert nn._bands(3 * 20 * 14, 72, 32, 28) == [(0, 848)]
+            pooled, mask = nn.conv2d_forward(t32(x), p, relu=True, pool=True)
+        want, want_mask = pool_ref.maxpool2d_forward(im2col_ref.conv2d_forward(t32(x), p))
+        assert pooled.array.tobytes() == nn.relu(want).array.tobytes()
+        assert np.array_equal(mask.window_argmax, want_mask.window_argmax)
+
 
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(o=st.sampled_from([2, 3, 16, 64]), k=st.integers(1, 600),
